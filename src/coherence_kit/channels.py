@@ -47,6 +47,8 @@ class KrausChannel:
         for k in ops:
             if k.shape != (self.dim_out, self.dim_in):
                 raise ChannelError(f"Kraus shape {k.shape} != ({self.dim_out}, {self.dim_in})")
+        if not all(np.all(np.isfinite(k)) for k in ops):
+            raise ChannelError("Kraus operator has a non-finite entry")
         gram = self.completeness()
         top = eigvals_hermitian(gram - np.eye(self.dim_in))[-1]
         if top > TP_TOL:

@@ -40,8 +40,17 @@ METRIC_ALIASES = {"trace": "trace", "fid": "one_minus_fidelity", "relent": "rel_
 
 
 def _emit(payload, digits: int = 12) -> None:
-    json.dump(round_floats(payload, digits), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # Encode fully before writing, so a non-finite value leaves stdout empty.
+    text = json.dumps(round_floats(payload, digits), indent=2, sort_keys=True, allow_nan=False)
+    sys.stdout.write(text + "\n")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for a non-negative integer count."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _default_seed(value) -> int:
@@ -191,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state JSON file")
     p.add_argument("--basis", help="basis JSON file")
     p.add_argument("--metric", choices=sorted(METRIC_ALIASES), default="trace")
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=_non_negative_int, default=8)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_measure)
 
@@ -202,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a seeded property suite")
     p.add_argument("name")
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_non_negative_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1, help="accepted for interface parity; trials run serially")
     p.set_defaults(fn=cmd_suite)

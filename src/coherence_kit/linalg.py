@@ -52,6 +52,8 @@ def projector(vec: np.ndarray) -> np.ndarray:
 
 
 def assert_hermitian(m: np.ndarray, tol: float = 1e-8) -> None:
+    if not np.all(np.isfinite(m)):
+        raise NotHermitianError("matrix has a non-finite entry")
     dev = np.max(np.abs(m - dagger(m)))
     if dev > tol:
         raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} > {tol:.1e}")
@@ -62,6 +64,8 @@ def validate_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"not a square matrix: shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise InvalidStateError("density matrix has a non-finite entry")
     dev = np.max(np.abs(rho - dagger(rho)))
     if dev > tol:
         raise InvalidStateError(f"not Hermitian: deviation {dev:.3e}")
@@ -99,84 +103,27 @@ def partial_trace(mat: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
-    """Annihilate a[p, q] by a complex Jacobi rotation, in place."""
-    g = a[p, q]
-    ag = abs(g)
-    if ag == 0.0:
-        return
-    w = g / ag
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * ag)
-    if abs(tau) > 1.0e8:
-        t = 1.0 / (2.0 * tau)
-    elif tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    # Unitary R = [[c, s], [-s*conj(w), c*conj(w)]] on the (p, q) plane;
-    # update A <- R^dag A R and accumulate V <- V R.
-    colp = a[:, p].copy()
-    colq = a[:, q].copy()
-    a[:, p] = c * colp - s * np.conj(w) * colq
-    a[:, q] = s * colp + c * np.conj(w) * colq
-    rowp = a[p, :].copy()
-    rowq = a[q, :].copy()
-    a[p, :] = c * rowp - s * w * rowq
-    a[q, :] = s * rowp + c * w * rowq
-    # Keep the (tiny) computed residual at (p, q): zeroing it by hand lets
-    # the iterate drift from the transform accumulated in v.
-    a[q, p] = np.conj(a[p, q])
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    if v is not None:
-        colp = v[:, p].copy()
-        colq = v[:, q].copy()
-        v[:, p] = c * colp - s * np.conj(w) * colq
-        v[:, q] = s * colp + c * np.conj(w) * colq
-
-
-def _jacobi_sweeps(m: np.ndarray, vectors: bool, off_tol: float, max_sweeps: int = 60):
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex) if vectors else None
-    for _ in range(max_sweeps):
-        sq = np.abs(a) ** 2
-        np.fill_diagonal(sq, 0.0)
-        off = math.sqrt(float(np.sum(sq)))
-        if off < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > 0.0:
-                    _jacobi_rotate(a, v, p, q)
-    lam = np.real(np.diag(a))
-    return lam, v
-
-
 def eig_hermitian(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
+    """Eigendecomposition of a complex Hermitian matrix (LAPACK ``eigh``).
 
-    Returns eigenvalues in descending order and the matching unitary of
-    eigenvector columns.  Sweeps run until the off-diagonal Frobenius
-    norm drops below 1e-12 (scaled by the matrix norm).
+    Raises NotHermitianError when ``max |M - M^dag| > tol``; otherwise the
+    Hermitian part ``(M + M^dag)/2`` is decomposed.  Returns eigenvalues in
+    descending order and the matching unitary of eigenvector columns.
     """
     m = np.asarray(m, dtype=complex)
     assert_hermitian(m, tol)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    lam, v = _jacobi_sweeps((m + dagger(m)) / 2.0, True, 1e-12 * scale)
-    order = np.argsort(-lam)
-    return lam[order], v[:, order]
+    lam, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    return lam[::-1], v[:, ::-1]
 
 
 def eigvals_hermitian(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Eigenvalues only (ascending), same Jacobi iteration as eig_hermitian."""
+    """Eigenvalues only, in ascending order (LAPACK ``eigvalsh``).
+
+    Same Hermiticity check and symmetrisation as eig_hermitian.
+    """
     m = np.asarray(m, dtype=complex)
     assert_hermitian(m, tol)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    lam, _ = _jacobi_sweeps((m + dagger(m)) / 2.0, False, 1e-12 * scale)
-    return np.sort(lam)
+    return np.linalg.eigvalsh((m + dagger(m)) / 2.0)
 
 
 def matrix_function(m: np.ndarray, kind: str) -> np.ndarray:
@@ -254,8 +201,10 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     root = matrix_function(rho, "sqrt")
     inner = root @ np.asarray(sigma, dtype=complex) @ root
     lam = eigvals_hermitian((inner + dagger(inner)) / 2.0)
-    lam = np.clip(lam, 0.0, None)
-    return float(np.sum(np.sqrt(lam)))
+    # Eigenvalues at the float noise floor of the spectrum are zero: their
+    # square roots (~1e-8) would otherwise inflate the fidelity.
+    floor = 64.0 * np.finfo(float).eps * max(1.0, float(lam[-1]))
+    return float(np.sum(np.sqrt(lam[lam > floor])))
 
 
 METRICS = ("trace", "one_minus_fidelity", "rel_ent")

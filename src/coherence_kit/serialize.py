@@ -37,6 +37,8 @@ def matrix_from_json(data) -> np.ndarray:
         raise ParseError(f"malformed matrix: {err}") from err
     if out.ndim != 2:
         raise ParseError("matrix must be two-dimensional")
+    if not np.all(np.isfinite(out)):
+        raise ParseError("matrix has a non-finite entry")
     return out
 
 

@@ -305,6 +305,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     fn, default_trials = SUITES[name]
     n = default_trials if trials is None else trials
+    if n < 0:
+        raise ValueError(f"trials must be non-negative, got {n}")
     start = time.time()
     failures = []
     count = 0

@@ -24,6 +24,8 @@ from coherence_kit.sampling import random_density_matrix, random_unitary, stream
 def test_kraus_channel_validates_completeness():
     with pytest.raises(ChannelError):
         KrausChannel((np.eye(2) * 1.5,))
+    with pytest.raises(ChannelError, match="non-finite"):
+        KrausChannel((np.array([[1.0, 0.0], [np.nan, 1.0]]),))
     ch = KrausChannel((np.eye(2) * 0.5,))  # trace-decreasing is fine
     assert not ch.trace_preserving
     assert identity_channel(3).trace_preserving

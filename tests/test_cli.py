@@ -69,6 +69,9 @@ def test_parse_errors():
         matrix_from_json([[1, 2], [3, 4]])
     with pytest.raises(ParseError):
         channel_from_json({"kraus": "nope"})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ParseError, match="non-finite"):
+            matrix_from_json([[[1.0, 0.0], [bad, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
 
 
 def test_cli_classify_non_si(tmp_path):
@@ -150,3 +153,37 @@ def test_cli_exit_codes():
     assert res.returncode == 2
     assert res.stdout.strip() == ""  # diagnostics on stderr only
     assert "error" in res.stderr
+
+
+def test_cli_rejects_non_finite_input(tmp_path):
+    state = state_to_json(zero_discord_example())
+    state["matrix"][0][1] = [float("nan"), 0.0]
+    channel = channel_to_json(NON_SI)
+    channel["kraus"][0][1][0] = [float("nan"), 0.0]
+    for args in (
+        ("measure", "discord", write_json(tmp_path, "nan-state.json", state)),
+        ("classify", write_json(tmp_path, "nan-channel.json", channel)),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "non-finite" in res.stderr
+
+
+def test_cli_rejects_negative_trials():
+    res = run_cli("suite", "hierarchy", "--trials", "-1", "--seed", "7")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--trials" in res.stderr
+    from coherence_kit.suites import run_suite
+
+    with pytest.raises(ValueError, match="non-negative"):
+        run_suite("hierarchy", trials=-1)
+
+
+def test_cli_rejects_negative_budget(tmp_path):
+    path = write_json(tmp_path, "ic.json", state_to_json(zero_discord_example()))
+    res = run_cli("measure", "recoverability", path, "--budget", "-3")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--budget" in res.stderr

@@ -19,7 +19,7 @@ from coherence_kit.coherence import (
     rel_ent_coherence,
 )
 from coherence_kit.linalg import dagger
-from coherence_kit.sampling import random_density_matrix, random_unitary, stream
+from coherence_kit.sampling import random_density_matrix, random_pure_state, random_unitary, stream
 
 NON_SI = KrausChannel(
     (
@@ -140,6 +140,16 @@ def test_fidelity_coherence_plus_state():
     plus = np.full((2, 2), 0.5, dtype=complex)
     got = fidelity_coherence(plus, restarts=8)
     assert got == pytest.approx(1 - np.sqrt(0.5), abs=1e-6)
+
+
+def test_fidelity_coherence_pure_state_closed_form():
+    # For a pure state C_f = 1 - max_i |psi_i|; the optimizer's value is an
+    # upper bound, so it may never fall below the closed form.
+    for t in range(30):
+        psi = random_pure_state(3, stream(97, t))
+        closed = 1.0 - np.max(np.abs(psi))
+        got = fidelity_coherence(np.outer(psi, psi.conj()), restarts=1, seed=t)
+        assert closed - 1e-12 <= got <= closed + 1e-6
 
 
 def test_coherence_measures_bounds():

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from coherence_kit.channels import choi
 from coherence_kit.linalg import (
     DimensionError,
     InvalidStateError,
     METRICS,
+    NotHermitianError,
     dagger,
     dephase_subsystem,
     distance,
@@ -17,13 +19,21 @@ from coherence_kit.linalg import (
     is_density_matrix,
     matrix_function,
     partial_trace,
+    projector,
     relative_entropy,
     shannon_entropy,
     tensor_product,
     trace_distance,
     validate_density_matrix,
 )
-from coherence_kit.sampling import draw, random_density_matrix, random_unitary, stream
+from coherence_kit.sampling import (
+    draw,
+    random_density_matrix,
+    random_pure_state,
+    random_unitary,
+    stream,
+)
+from coherence_kit.universal import depolarizing_channel
 
 
 def random_hermitian(d, rng):
@@ -31,12 +41,23 @@ def random_hermitian(d, rng):
     return (g + dagger(g)) / 2
 
 
+def degenerate_hermitian():
+    """Degenerate and rank-deficient spectra: the identity, a rank-one
+    projector and Choi matrices of depolarizing channels at the CP boundary
+    (one eigenvalue 0, the rest equal), up to d = 16."""
+    cases = [np.eye(3, dtype=complex), projector(random_pure_state(5, stream(3, 1)))]
+    cases += [choi(depolarizing_channel(d, -1.0 / (d * d - 1))) for d in (2, 3, 4)]
+    return cases
+
+
 def test_eig_reconstruction_500_random():
-    worst = 0.0
+    mats = degenerate_hermitian()
     for t in range(500):
         rng = stream(3, 0, t)
-        d = int(rng.integers(2, 7))
-        m = random_hermitian(d, rng)
+        d = int(rng.integers(2, 17))
+        mats.append(random_hermitian(d, rng))
+    worst = 0.0
+    for m in mats:
         lam, v = eig_hermitian(m)
         worst = max(worst, np.max(np.abs((v * lam) @ dagger(v) - m)))
     assert worst < 1e-9
@@ -44,18 +65,25 @@ def test_eig_reconstruction_500_random():
 
 def test_eig_matches_numpy_eigenvalues():
     rng = stream(5, 1)
-    for _ in range(50):
-        m = random_hermitian(5, rng)
+    for m in [random_hermitian(5, rng) for _ in range(50)] + degenerate_hermitian():
         lam = eigvals_hermitian(m)
+        assert np.all(np.diff(lam) >= 0.0)
         np.testing.assert_allclose(lam, np.linalg.eigvalsh(m), atol=1e-10)
 
 
 def test_eig_descending_and_unitary_vectors():
     rng = stream(5, 2)
-    m = random_hermitian(4, rng)
-    lam, v = eig_hermitian(m)
-    assert np.all(np.diff(lam) <= 1e-12)
-    assert np.max(np.abs(dagger(v) @ v - np.eye(4))) < 1e-10
+    for m in [random_hermitian(4, rng), random_hermitian(16, rng)] + degenerate_hermitian():
+        n = m.shape[0]
+        lam, v = eig_hermitian(m)
+        assert np.all(np.diff(lam) <= 0.0)
+        assert np.max(np.abs(dagger(v) @ v - np.eye(n))) < 1e-10
+        np.testing.assert_allclose(lam, eigvals_hermitian(m)[::-1], atol=1e-12)
+    for bad in (np.array([[0, 1], [0, 0]], dtype=complex), np.diag([1.0, np.nan])):
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(bad)
+        with pytest.raises(NotHermitianError):
+            eigvals_hermitian(bad)
 
 
 def test_eigvals_identity_and_pauli_x():
@@ -121,6 +149,13 @@ def test_fidelity_pure_states_and_symmetry():
         sig = random_density_matrix(3, rng)
         assert abs(fidelity(rho, sig) - fidelity(sig, rho)) < 1e-9
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
+    # F(|psi><psi|, sigma) = sqrt(<psi|sigma|psi>): the rank-one square root
+    # must not turn eigenvalue noise into a 1e-8 excess.
+    for _ in range(20):
+        psi = random_pure_state(3, rng)
+        sig = random_density_matrix(3, rng)
+        want = np.sqrt(np.real(psi.conj() @ sig @ psi))
+        assert abs(fidelity(projector(psi), sig) - want) < 1e-12
 
 
 def test_distance_contractivity_under_unitaries():
@@ -157,6 +192,8 @@ def test_validate_density_matrix_rejects_bad_inputs():
     with pytest.raises(InvalidStateError):
         validate_density_matrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
     assert not is_density_matrix(np.diag([1.5, -0.5]))
+    assert not is_density_matrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+    assert not is_density_matrix(np.diag([np.inf, 0.5]))
     assert is_density_matrix(np.eye(3) / 3)
 
 
