@@ -12,6 +12,7 @@ from .channels import (
     identity_channel,
     local_apply,
     pad_trace_preserving,
+    unit_images,
     unitary_channel,
     with_memory,
 )
@@ -49,6 +50,7 @@ from .discord import (
 from .linalg import (
     DimensionError,
     InvalidStateError,
+    InvariantError,
     NotHermitianError,
     eig_hermitian,
     eigvals_hermitian,

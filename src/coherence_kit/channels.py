@@ -12,7 +12,6 @@ from .linalg import (
     eigvals_hermitian,
     ket,
     partial_trace,
-    tensor_product,
     validate_density_matrix,
 )
 
@@ -26,28 +25,33 @@ class ChannelError(ValueError):
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Ordered list of Kraus operators with fixed input/output dimensions.
+    """Kraus operators stored as one read-only ``(r, dim_out, dim_in)`` stack.
 
-    The list is stored exactly as given; no canonicalization is applied,
-    because the incoherence classification depends on the representation.
+    The operators are kept exactly as given, in order; no canonicalization
+    is applied, because the incoherence classification depends on the
+    representation.  Iteration, ``len`` and indexing run over the operators.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     dim_in: int = field(default=0)
     dim_out: int = field(default=0)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
+        if len(self.kraus) == 0:
             raise ChannelError("need at least one Kraus operator")
-        dout, din = ops[0].shape
+        try:
+            ops = np.array(self.kraus, dtype=complex)
+        except ValueError as err:
+            raise ChannelError(f"Kraus operators differ in shape: {err}") from err
+        if ops.ndim != 3:
+            raise ChannelError(f"Kraus operators must be matrices, got stack shape {ops.shape}")
+        ops.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "dim_in", self.dim_in or din)
-        object.__setattr__(self, "dim_out", self.dim_out or dout)
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ChannelError(f"Kraus shape {k.shape} != ({self.dim_out}, {self.dim_in})")
-        if not all(np.all(np.isfinite(k)) for k in ops):
+        object.__setattr__(self, "dim_in", self.dim_in or ops.shape[2])
+        object.__setattr__(self, "dim_out", self.dim_out or ops.shape[1])
+        if ops.shape[1:] != (self.dim_out, self.dim_in):
+            raise ChannelError(f"Kraus shape {ops.shape[1:]} != ({self.dim_out}, {self.dim_in})")
+        if not np.all(np.isfinite(ops)):
             raise ChannelError("Kraus operator has a non-finite entry")
         gram = self.completeness()
         top = eigvals_hermitian(gram - np.eye(self.dim_in))[-1]
@@ -55,7 +59,7 @@ class KrausChannel:
             raise ChannelError(f"sum K^dag K exceeds identity by {top:.3e}")
 
     def completeness(self) -> np.ndarray:
-        return sum(dagger(k) @ k for k in self.kraus)
+        return (dagger(self.kraus) @ self.kraus).sum(axis=0)
 
     @property
     def trace_preserving(self) -> bool:
@@ -106,7 +110,19 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (channel.dim_in, channel.dim_in):
         raise DimensionError(f"state dim {rho.shape} != channel input {channel.dim_in}")
-    return sum(k @ rho @ dagger(k) for k in channel.kraus)
+    k = channel.kraus
+    return (k @ rho @ dagger(k)).sum(axis=0)
+
+
+def unit_images(channel: KrausChannel, columns: np.ndarray | None = None) -> np.ndarray:
+    """All images E(|b_i><b_j|) at once, as an array indexed [i, j, a, b].
+
+    ``columns`` holds the input basis vectors b_i as columns (default the
+    computational basis); the images stay in the output's computational
+    coordinates.  With A_mu = K_mu B the image is sum_mu A_mu[:, i] A_mu[:, j]^dag.
+    """
+    a = channel.kraus if columns is None else channel.kraus @ columns
+    return np.einsum("kai,kbj->ijab", a, a.conj())
 
 
 def selected_outcome(channel: KrausChannel, mu: int, rho: np.ndarray):
@@ -125,42 +141,51 @@ def selected_outcome(channel: KrausChannel, mu: int, rho: np.ndarray):
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
     if second.dim_in != first.dim_out:
         raise DimensionError("composition dimension mismatch")
-    return KrausChannel(tuple(k2 @ k1 for k2 in second.kraus for k1 in first.kraus))
+    ops = second.kraus[:, None] @ first.kraus[None, :]
+    return KrausChannel(ops.reshape(-1, second.dim_out, first.dim_in))
 
 
 def choi(channel: KrausChannel) -> np.ndarray:
-    """(E x id) on the normalized maximally entangled state sum_j |jj>/sqrt(d)."""
-    d = channel.dim_in
-    alpha = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        alpha[j * d + j] = 1.0 / np.sqrt(d)
-    proj = np.outer(alpha, alpha.conj())
-    embedded = KrausChannel(tuple(tensor_product(k, np.eye(d)) for k in channel.kraus))
-    return apply(embedded, proj)
+    """(E x id) on the normalized maximally entangled state sum_j |jj>/sqrt(d).
+
+    Entry [(a, j), (b, l)] is E(|j><l|)[a, b] / d, so this is a transpose and
+    reshape of ``unit_images``; the output factor comes first.
+    """
+    d, d_out = channel.dim_in, channel.dim_out
+    return unit_images(channel).transpose(2, 0, 3, 1).reshape(d_out * d, d_out * d) / d
 
 
-def local_channel(channel: KrausChannel, other_dim: int, side: str) -> KrausChannel:
-    """Embed a channel as (E x id) or (id x E) via K x I / I x K."""
-    eye = np.eye(other_dim, dtype=complex)
+def local_branches(channel: KrausChannel, rho: BipartiteState, side: str) -> np.ndarray:
+    """Per-outcome local action, stacked: (K_mu x I) rho (K_mu x I)^dag for
+    side "A", (I x K_mu) rho (I x K_mu)^dag for side "B".
+
+    The state is viewed as a (d_a, d_b, d_a, d_b) tensor whose acted-on
+    indices are contracted with the Kraus stack; no K x I is formed.
+    """
+    da, db = rho.dims
     if side == "A":
-        ops = tuple(tensor_product(k, eye) for k in channel.kraus)
+        d_in, other, into, out_of = da, db, (0, 1, 3, 2), (0, 1, 2, 4, 3)
     elif side == "B":
-        ops = tuple(tensor_product(eye, k) for k in channel.kraus)
+        d_in, other, into, out_of = db, da, (1, 0, 2, 3), (0, 2, 1, 3, 4)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return KrausChannel(ops)
+    if channel.dim_in != d_in:
+        raise DimensionError(f"channel does not act on side {side}'s dimension")
+    k = channel.kraus
+    r, d_out = len(k), channel.dim_out
+    # Indices [a, i, j, b]: a and b are the acted-on ket and bra indices.
+    t = rho.state.reshape(da, db, da, db).transpose(into).reshape(d_in, -1)
+    half = (k @ t).reshape(r, d_out * other * other, d_in)
+    out = (half @ dagger(k)).reshape(r, d_out, other, other, d_out).transpose(out_of)
+    return out.reshape(r, d_out * other, d_out * other)
 
 
 def local_apply(channel: KrausChannel, rho: BipartiteState, side: str) -> BipartiteState:
+    """(E x id)(rho) for side "A" or (id x E)(rho) for side "B"."""
+    out = local_branches(channel, rho, side).sum(axis=0)
     if side == "A":
-        if channel.dim_in != rho.dim_a:
-            raise DimensionError("channel does not act on side A's dimension")
-        emb = local_channel(channel, rho.dim_b, "A")
-        return BipartiteState(apply(emb, rho.state), channel.dim_out, rho.dim_b)
-    if channel.dim_in != rho.dim_b:
-        raise DimensionError("channel does not act on side B's dimension")
-    emb = local_channel(channel, rho.dim_a, "B")
-    return BipartiteState(apply(emb, rho.state), rho.dim_a, channel.dim_out)
+        return BipartiteState(out, channel.dim_out, rho.dim_b)
+    return BipartiteState(out, rho.dim_a, channel.dim_out)
 
 
 def with_memory(channel: KrausChannel) -> KrausChannel:
@@ -172,27 +197,20 @@ def with_memory(channel: KrausChannel) -> KrausChannel:
     if not channel.trace_preserving:
         raise ChannelError("memory extension needs a trace-preserving channel")
     m = len(channel)
-    ops = tuple(
-        tensor_product(ket(mu, m).reshape(m, 1), k) for mu, k in enumerate(channel.kraus)
-    )
-    return KrausChannel(ops)
+    ops = np.zeros((m, m, channel.dim_out, channel.dim_in), dtype=complex)
+    ops[np.arange(m), np.arange(m)] = channel.kraus
+    return KrausChannel(ops.reshape(m, m * channel.dim_out, channel.dim_in))
 
 
 def classical_action(channel: KrausChannel, basis_columns: np.ndarray | None = None) -> np.ndarray:
-    """(Sub)stochastic matrix T_ij = <i| E(|j><j|) |i> in the given basis."""
-    d_in, d_out = channel.dim_in, channel.dim_out
-    t = np.zeros((d_out, d_in))
-    for j in range(d_in):
-        if basis_columns is None:
-            proj = np.outer(ket(j, d_in), ket(j, d_in))
-        else:
-            proj = np.outer(basis_columns[:, j], basis_columns[:, j].conj())
-        out = apply(channel, proj)
-        if basis_columns is None:
-            t[:, j] = np.real(np.diag(out))
-        else:
-            t[:, j] = np.real(np.einsum("ia,ij,ja->a", basis_columns.conj(), out, basis_columns))
-    return t
+    """(Sub)stochastic matrix T_ij = <i| E(|j><j|) |i> in the given basis.
+
+    This is sum_mu |<i|K_mu|j>|^2 with the Kraus operators in basis coordinates.
+    """
+    k = channel.kraus
+    if basis_columns is not None:
+        k = dagger(basis_columns) @ k @ basis_columns
+    return np.sum(np.abs(k) ** 2, axis=0)
 
 
 def pad_trace_preserving(channel: KrausChannel) -> KrausChannel:
@@ -209,4 +227,4 @@ def pad_trace_preserving(channel: KrausChannel) -> KrausChannel:
     extra = matrix_function((gap + dagger(gap)) / 2.0, "sqrt")
     if channel.dim_out != channel.dim_in:
         raise ChannelError("can only pad square channels")
-    return KrausChannel(channel.kraus + (extra,))
+    return KrausChannel(np.concatenate([channel.kraus, extra[None]]))

@@ -1,8 +1,10 @@
 """Command-line interface: classify channels, compute measures, reproduce
 the worked examples, and run seeded property suites.
 
-Exit codes: 0 success, 1 a suite or reproduction failed, 2 bad input.
-Stdout carries JSON only; diagnostics go to stderr.
+Exit codes: 0 success, 1 a suite or reproduction failed, 2 bad input,
+3 an internal invariant failed (``InvariantError``: a defect or a numerical
+breakdown, never bad input; stderr names the invariant and stdout stays
+empty).  Stdout carries JSON only; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .discord import (
     zero_discord_decompose,
     zero_discord_example,
 )
-from .linalg import InvalidStateError, eigvals_hermitian, trace_distance
+from .linalg import InvalidStateError, InvariantError, eigvals_hermitian, trace_distance
 from .serialize import (
     ParseError,
     basis_from_json,
@@ -223,6 +225,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantError as err:
+        print(f"invariant violated: {err}", file=sys.stderr)
+        return 3
     except (ParseError, ChannelError, InvalidStateError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import ChannelError, KrausChannel, apply, pad_trace_preserving
+from .channels import ChannelError, KrausChannel, pad_trace_preserving, unit_images
 from .linalg import (
     DimensionError,
+    InvariantError,
     dagger,
     entropy,
     fidelity,
     ket,
-    tensor_product,
     trace_distance,
     trace_norm,
 )
@@ -217,17 +217,24 @@ def _kraus_covariant(k: np.ndarray, eigenvalues: np.ndarray, tol: float) -> bool
 
 
 def dephasing_commutant_deviation(channel: KrausChannel, basis: Basis | None = None) -> float:
-    """max |Phi(E(X)) - E(Phi(X))| over the matrix units X of the basis."""
+    """max |Phi(E(X)) - E(Phi(X))| over the matrix units X = |b_i><b_j| of the
+    basis, entrywise in the original coordinates.
+
+    Phi(X) is X for i = j and zero otherwise, so the i = j terms measure how
+    far E(|b_i><b_i|) is from basis-diagonal and the i != j terms how large
+    the basis-diagonal part of E(|b_i><b_j|) is.
+    """
     d = channel.dim_in
-    b = basis if basis is not None else Basis.computational(d)
-    dev = 0.0
-    for i in range(d):
-        for j in range(d):
-            unit = np.outer(b.columns[:, i], b.columns[:, j].conj())
-            lhs = dephase(apply(channel, unit), b)
-            rhs = apply(channel, dephase(unit, b))
-            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    return dev
+    cols = None if basis is None or basis.is_computational() else basis.columns
+    images = unit_images(channel, cols)
+    if cols is None:
+        dev = images * np.eye(channel.dim_out)
+    else:
+        diag = np.einsum("am,ijab,bm->ijm", cols.conj(), images, cols)
+        dev = np.einsum("am,ijm,bm->ijab", cols, diag, cols.conj())
+    idx = np.arange(d)
+    dev[idx, idx] -= images[idx, idx]
+    return float(np.max(np.abs(dev)))
 
 
 def classify_channel(
@@ -277,14 +284,14 @@ def classify_channel(
 
 def _assert_hierarchy(report: ClassificationReport, observable) -> None:
     if report.genuinely_incoherent and not report.strictly_incoherent:
-        raise AssertionError("hierarchy violated: GI without SI")
+        raise InvariantError("hierarchy violated: GI without SI")
     if report.strictly_incoherent and not report.incoherent:
-        raise AssertionError("hierarchy violated: SI without incoherent")
+        raise InvariantError("hierarchy violated: SI without incoherent")
     if report.covariant and observable is not None:
         a = np.asarray(observable, dtype=float)
         nondegenerate = np.min(np.abs(np.diff(np.sort(a)))) > COVARIANCE_TOL if len(a) > 1 else True
         if nondegenerate and not report.strictly_incoherent:
-            raise AssertionError("hierarchy violated: covariant (nondegenerate) without SI")
+            raise InvariantError("hierarchy violated: covariant (nondegenerate) without SI")
 
 
 @dataclass(frozen=True)
@@ -370,22 +377,17 @@ def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
 def dilation_apply(spec: DilationSpec, rho: np.ndarray) -> list[np.ndarray]:
     """Run the dilation circuit; returns the unnormalized outcome states."""
     b = spec.basis
-    d = b.dim
-    rho = b.to_coords(rho)
-    anc = spec.ancilla_dim
-    zero = np.outer(ket(0, anc), ket(0, anc))
-    total = tensor_product(rho, zero)
-    u = np.zeros((d * anc, d * anc), dtype=complex)
-    for i in range(d):
-        u += tensor_product(np.outer(ket(i, d), ket(i, d)), spec.control_unitaries[i])
-    total = u @ total @ dagger(u)
-    outcomes = []
-    for mu, v in enumerate(spec.conditional_unitaries):
-        phi = spec.measurement_basis[:, mu]
-        proj = tensor_product(np.eye(d, dtype=complex), phi.conj().reshape(1, anc))
-        selected = proj @ total @ dagger(proj)
-        outcomes.append(b.from_coords(v @ selected @ dagger(v)))
-    return outcomes
+    d, anc = b.dim, spec.ancilla_dim
+    # System x ancilla as a (d, anc, d, anc) tensor: the ancilla starts in |0>,
+    # and the controlled unitary sum_i |i><i| x U_i is block diagonal.
+    start = np.zeros((d, anc, d, anc), dtype=complex)
+    start[:, 0, :, 0] = b.to_coords(rho)
+    u = np.einsum("ij,iab->iajb", np.eye(d), np.array(spec.control_unitaries)).reshape(d * anc, d * anc)
+    total = (u @ start.reshape(d * anc, d * anc) @ dagger(u)).reshape(d, anc, d, anc)
+    phi = spec.measurement_basis[:, : len(spec.conditional_unitaries)]
+    selected = np.einsum("am,iajb,bm->mij", phi.conj(), total, phi)
+    w = b.columns @ np.array(spec.conditional_unitaries)
+    return list(w @ selected @ dagger(w))
 
 
 def dilation_verify(spec: DilationSpec, channel: KrausChannel, n_states: int = 20, seed: int = 0) -> float:
@@ -484,7 +486,7 @@ def random_si_channel(
         ops.append(k)
     channel = KrausChannel(tuple(ops))
     if basis is not None and not basis.is_computational():
-        channel = KrausChannel(tuple(basis.from_coords(k) for k in channel.kraus))
+        channel = KrausChannel(basis.from_coords(channel.kraus))
     return channel
 
 

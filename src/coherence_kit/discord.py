@@ -14,14 +14,16 @@ from .channels import (
     BipartiteState,
     ChannelError,
     KrausChannel,
-    apply,
     compose,
     local_apply,
-    local_channel,
+    local_branches,
+    pad_trace_preserving,
+    unit_images,
     with_memory,
 )
 from .coherence import Basis, classify_channel, rel_ent_coherence
 from .linalg import (
+    InvariantError,
     dagger,
     dephase_subsystem,
     distance,
@@ -38,6 +40,7 @@ from .sampling import random_density_matrix, stream
 NEGLIGIBLE_P = 1e-12
 EQUAL_STATE_TOL = 1e-7
 WITNESS_TOL = 1e-8
+TIE_RTOL = 1e-12
 
 
 def _dephase_a(rho: BipartiteState, basis: Basis | None = None) -> BipartiteState:
@@ -100,12 +103,12 @@ def basis_discord(rho: BipartiteState, basis: Basis | None = None) -> DiscordRep
     c_a = rel_ent_coherence(rho.marginal("A"), basis)
     c_cond = entropy(_dephase_a(rho, basis).state) - entropy(rho.state)
     if abs(delta - (c_cond - c_a)) > 1e-6:
-        raise AssertionError(
+        raise InvariantError(
             f"discord identity violated: I - J = {delta:.3e}, "
             f"C(B|A) - C(A) = {c_cond - c_a:.3e}"
         )
     if delta < -1e-9:
-        raise AssertionError(f"negative discord {delta:.3e}")
+        raise InvariantError(f"negative discord {delta:.3e}")
     return DiscordReport(i, j, delta, c_a, c_cond)
 
 
@@ -144,20 +147,6 @@ def _simplex_grid(n: int, steps: int):
             yield (k / steps,) + tuple(r * (steps - k) / steps for r in rest)
 
 
-def _conditional_states(rho: BipartiteState) -> tuple[np.ndarray, list]:
-    """Probabilities p_i and conditional B states of the dephased state."""
-    da, db = rho.dims
-    probs = np.zeros(da)
-    conds: list = [None] * da
-    for i in range(da):
-        block = rho.state[i * db : (i + 1) * db, i * db : (i + 1) * db]
-        p = float(np.real(np.trace(block)))
-        probs[i] = p
-        if p > NEGLIGIBLE_P:
-            conds[i] = block / p
-    return probs, conds
-
-
 def petz_channel(rho_a: np.ndarray, projectors: list[np.ndarray] | None = None) -> KrausChannel:
     """Transpose channel undoing dephasing on the marginal rho_a.
 
@@ -173,12 +162,7 @@ def petz_channel(rho_a: np.ndarray, projectors: list[np.ndarray] | None = None) 
     sigma = sum(p @ rho_a @ p for p in projectors)
     root = matrix_function(rho_a, "sqrt")
     inv_root = matrix_function(sigma, "inv_sqrt")
-    ops = [root @ p @ inv_root for p in projectors]
-    gram = sum(dagger(k) @ k for k in ops)
-    gap = np.eye(d) - gram
-    if np.max(np.abs(gap)) > 1e-10:
-        ops.append(matrix_function((gap + dagger(gap)) / 2.0, "sqrt"))
-    return KrausChannel(tuple(ops))
+    return pad_trace_preserving(KrausChannel(tuple(root @ p @ inv_root for p in projectors)))
 
 
 def petz_recover(rho: BipartiteState, basis: Basis | None = None):
@@ -192,7 +176,7 @@ def petz_recover(rho: BipartiteState, basis: Basis | None = None):
     recovered = local_apply(channel, _dephase_a(work), "A")
     if basis is not None and not basis.is_computational():
         u = basis.columns
-        channel = KrausChannel(tuple(u @ k @ dagger(u) for k in channel.kraus))
+        channel = KrausChannel(basis.from_coords(channel.kraus))
         ub = tensor_product(u, np.eye(rho.dim_b))
         recovered = BipartiteState(ub @ recovered.state @ dagger(ub), rho.dim_a, rho.dim_b)
     return channel, recovered
@@ -343,9 +327,7 @@ def ensemble_monotonicity_trial(
 
     rhs = measure(rho)
     lhs = 0.0
-    for k in channel.kraus:
-        emb = local_channel(KrausChannel((k,), dim_in=channel.dim_in, dim_out=channel.dim_out), rho.dim_b, "A")
-        out = apply(emb, rho.state)
+    for out in local_branches(channel, rho, "A"):
         p = float(np.real(np.trace(out)))
         if p <= NEGLIGIBLE_P:
             continue
@@ -356,28 +338,27 @@ def ensemble_monotonicity_trial(
 def j_increase_witness(channel: KrausChannel, basis: Basis | None = None):
     """State on which an incoherent-but-not-SI channel raises J(B|A).
 
-    Scans matrix units for tau = E(|i><j|) with a nonzero diagonal element
-    tau_kk, then pairs |phi> = (|i> + e^{i phi}|j>)/sqrt(2) with a qubit
-    flag so that J is zero before the channel and positive after.  Raises
-    when no such element exists (the channel commutes with dephasing).
+    Scans the images tau = E(|i><j|), i != j, for a nonzero diagonal element
+    tau_kk (all in basis coordinates), then pairs |phi> = (|i> + e^{i phi}|j>)
+    /sqrt(2) with a qubit flag so that J is zero before the channel and
+    positive after.  The witness is the first (i, j, k) in row-major order
+    whose |tau_kk| is within a relative 1e-12 of the largest, so exact ties
+    (mirror pairs, equal overlaps) do not fall to float noise.  Raises when
+    no such element exists (the channel commutes with dephasing).
     """
-    work = channel
-    if basis is not None and not basis.is_computational():
-        u = basis.columns
-        work = KrausChannel(tuple(dagger(u) @ k @ u for k in channel.kraus))
-    d = work.dim_in
-    best = (0.0, None)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            tau = apply(work, np.outer(ket(i, d), ket(j, d)))
-            k = int(np.argmax(np.abs(np.diag(tau))))
-            if abs(tau[k, k]) > best[0]:
-                best = (abs(tau[k, k]), (i, j, k, tau[k, k]))
-    if best[1] is None or best[0] <= WITNESS_TOL:
+    d = channel.dim_in
+    if basis is None or basis.is_computational():
+        diag = np.einsum("ijkk->ijk", unit_images(channel))
+    else:
+        cols = basis.columns
+        diag = np.einsum("ak,ijab,bk->ijk", cols.conj(), unit_images(channel, cols), cols)
+    mag = np.abs(diag)
+    mag[np.arange(d), np.arange(d)] = 0.0
+    top = float(mag.max())
+    if top <= WITNESS_TOL:
         raise ChannelError("no dephasing-commutation violation: channel looks SI")
-    i, j, k, tkk = best[1]
+    i, j, k = np.unravel_index(np.argmax(mag >= top * (1.0 - TIE_RTOL)), mag.shape)
+    tkk = diag[i, j, k]
     phi = float(np.angle(tkk))
     vec = (ket(i, d) + np.exp(1j * phi) * ket(j, d)) / np.sqrt(2)
     mat = 0.5 * tensor_product(projector(vec), projector(ket(0, 2))) + 0.25 * tensor_product(
@@ -543,8 +524,7 @@ def recoverability(
                 best_channel = _params_to_channel(res.x, da, anc)
 
     if basis is not None and not basis.is_computational():
-        u = basis.columns
-        best_channel = KrausChannel(tuple(u @ k @ dagger(u) for k in best_channel.kraus))
+        best_channel = KrausChannel(basis.from_coords(best_channel.kraus))
     return {"value": max(0.0, best_value), "petz_value": petz_value, "channel": best_channel}
 
 

@@ -31,8 +31,14 @@ class InvalidStateError(ValueError):
     """A matrix fails the density-matrix invariants."""
 
 
+class InvariantError(AssertionError):
+    """An internal identity of the numerics failed: a defect or a numerical
+    breakdown, never bad input."""
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().mT
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelError, KrausChannel, apply, choi
-from .coherence import Basis, dephase
+from .channels import ChannelError, KrausChannel, apply, choi, unit_images
+from .coherence import Basis, dephasing_commutant_deviation
 from .linalg import dagger, eig_hermitian, ket
 from .sampling import random_unitary, stream
 
@@ -66,8 +66,7 @@ def depolarizing_channel(d: int, p: float, basis: Basis | None = None) -> KrausC
             ops.append(kappa * weyl_operator(k, l, d))
     channel = KrausChannel(tuple(ops))
     if basis is not None and not basis.is_computational():
-        u = basis.columns
-        channel = KrausChannel(tuple(u @ k @ dagger(u) for k in channel.kraus))
+        channel = KrausChannel(basis.from_coords(channel.kraus))
     return channel
 
 
@@ -104,38 +103,20 @@ def is_unital(channel: KrausChannel, tol: float = DEPOL_TOL) -> bool:
 def every_basis_falsifier(
     channel: KrausChannel, n_bases: int = 200, seed: int = 0, tol: float = DEPOL_TOL
 ) -> Basis | None:
-    """Search random bases for one where the channel is visibly not SI.
+    """Search random bases for one where the channel visibly fails to commute
+    with that basis's dephasing, i.e. ``dephasing_commutant_deviation(channel,
+    b) > tol``.
 
-    Two necessary conditions are checked per basis: basis projectors must
-    map to basis-diagonal states, and the channel must commute with that
-    basis's dephasing.  Returns the first violating basis or None.  Finding
-    none is evidence (not proof) of basis-independence; the exact criterion
-    is ``is_depolarizing``.
+    That one quantity covers both necessary conditions for SI in the basis:
+    basis projectors must map to basis-diagonal states (the i = j matrix
+    units) and off-diagonal units must have no basis-diagonal image (i != j).
+    Returns the first violating basis or None.  Finding none is evidence (not
+    proof) of basis-independence; the exact criterion is ``is_depolarizing``.
     """
     d = channel.dim_in
     for trial in range(n_bases):
-        rng = stream(seed, 61, d, trial)
-        b = Basis(random_unitary(d, rng))
-        violated = False
-        for i in range(d):
-            out = apply(channel, np.outer(b.columns[:, i], b.columns[:, i].conj()))
-            if np.max(np.abs(out - dephase(out, b))) > tol:
-                violated = True
-                break
-        if not violated:
-            for i in range(d):
-                for j in range(d):
-                    if i == j:
-                        continue
-                    unit = np.outer(b.columns[:, i], b.columns[:, j].conj())
-                    lhs = dephase(apply(channel, unit), b)
-                    rhs = apply(channel, dephase(unit, b))
-                    if np.max(np.abs(lhs - rhs)) > tol:
-                        violated = True
-                        break
-                if violated:
-                    break
-        if violated:
+        b = Basis(random_unitary(d, stream(seed, 61, d, trial)))
+        if dephasing_commutant_deviation(channel, b) > tol:
             return b
     return None
 
@@ -179,15 +160,11 @@ def isotropic_decompose(channel: KrausChannel, tol: float = DEPOL_TOL):
     u = u * (np.conj(first) / abs(first))
     if np.max(np.abs(dagger(u) @ u - np.eye(d))) > 1e-6:
         return None
-    # Verify the claimed action on all matrix units.
-    for i in range(d):
-        for j in range(d):
-            unit = np.outer(ket(i, d), ket(j, d))
-            expect = p * (u @ unit @ dagger(u))
-            if i == j:
-                expect = expect + (1.0 - p) / d * np.eye(d)
-            if np.max(np.abs(apply(channel, unit) - expect)) > max(tol, 1e-7):
-                return None
+    # Verify the claimed action on all matrix units |i><j|.
+    expect = p * np.einsum("ai,bj->ijab", u, u.conj())
+    expect[np.arange(d), np.arange(d)] += (1.0 - p) / d * np.eye(d)
+    if np.max(np.abs(unit_images(channel) - expect)) > max(tol, 1e-7):
+        return None
     return u, p
 
 
@@ -195,8 +172,7 @@ def isotropic_channel(u: np.ndarray, p: float) -> KrausChannel:
     """rho -> p U rho U^dag + (1-p) I/d as a Kraus channel."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    base = depolarizing_channel(d, p)
-    return KrausChannel(tuple(u @ k for k in base.kraus))
+    return KrausChannel(u @ depolarizing_channel(d, p).kraus)
 
 
 def channel_zoo(seed: int = 0) -> dict[str, KrausChannel]:

@@ -14,10 +14,11 @@ from coherence_kit.channels import (
     local_apply,
     pad_trace_preserving,
     selected_outcome,
+    unit_images,
     unitary_channel,
     with_memory,
 )
-from coherence_kit.linalg import eigvals_hermitian, ket, partial_trace, tensor_product
+from coherence_kit.linalg import DimensionError, eigvals_hermitian, ket, partial_trace, tensor_product
 from coherence_kit.sampling import random_density_matrix, random_unitary, stream
 
 
@@ -124,3 +125,101 @@ def test_pad_trace_preserving_completes_and_is_noop_when_tp():
 def test_bipartite_state_validates():
     with pytest.raises(Exception):
         BipartiteState(np.eye(4), 2, 2)  # trace 4
+
+
+def test_kraus_stack_storage():
+    ops = (np.eye(2) * np.sqrt(0.5), np.diag([1.0, -1.0]) * np.sqrt(0.5))
+    ch = KrausChannel(ops)
+    assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == complex
+    assert not ch.kraus.flags.writeable
+    assert len(ch) == 2
+    np.testing.assert_array_equal(ch.kraus[1], ops[1])
+    np.testing.assert_array_equal(np.array(list(ch.kraus)), ch.kraus)
+    with pytest.raises(ChannelError):
+        KrausChannel((np.eye(2), np.eye(3)))
+    with pytest.raises(ChannelError):
+        KrausChannel(())
+
+
+# Reference actions built from explicit Kronecker products and loops over
+# the Kraus operators and matrix units.
+
+
+def _ref_apply(kraus, rho):
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def _ref_unit_images(kraus, cols):
+    d = cols.shape[1]
+    return np.array(
+        [[_ref_apply(kraus, np.outer(cols[:, i], cols[:, j].conj())) for j in range(d)] for i in range(d)]
+    )
+
+
+def _ref_choi(kraus, d):
+    alpha = sum(ket(j * d + j, d * d) for j in range(d)) / np.sqrt(d)
+    big = [tensor_product(k, np.eye(d)) for k in kraus]
+    return _ref_apply(big, np.outer(alpha, alpha.conj()))
+
+
+def _ref_classical(kraus, cols):
+    d = cols.shape[1]
+    return np.array(
+        [[np.real(cols[:, i].conj() @ _ref_apply(kraus, np.outer(cols[:, j], cols[:, j].conj())) @ cols[:, i])
+          for j in range(d)] for i in range(d)]
+    )
+
+
+def _ref_local(kraus, rho, dims, side):
+    other = np.eye(dims[1] if side == "A" else dims[0])
+    big = [tensor_product(k, other) if side == "A" else tensor_product(other, k) for k in kraus]
+    return _ref_apply(big, rho)
+
+
+def _random_channel(d_in, d_out, r, rng):
+    g = rng.normal(size=(r * d_out, d_in)) + 1j * rng.normal(size=(r * d_out, d_in))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel(q.reshape(r, d_out, d_in))
+
+
+BATCHED_CASES = {
+    "unitary r=1": lambda rng: unitary_channel(random_unitary(3, rng)),
+    "qubit r=d^2": lambda rng: _random_channel(2, 2, 4, rng),
+    "qutrit r=d^2": lambda rng: _random_channel(3, 3, 9, rng),
+    "with_memory d_out!=d_in": lambda rng: with_memory(_random_channel(2, 2, 3, rng)),
+    "isometry d_out>d_in": lambda rng: _random_channel(2, 3, 2, rng),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_CASES))
+def test_batched_actions_match_loop_reference(case):
+    rng = stream(31, 6, sorted(BATCHED_CASES).index(case))
+    ch = BATCHED_CASES[case](rng)
+    d, d_out = ch.dim_in, ch.dim_out
+    rho = random_density_matrix(d, rng)
+    np.testing.assert_allclose(apply(ch, rho), _ref_apply(ch.kraus, rho), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(choi(ch), _ref_choi(ch.kraus, d), rtol=0, atol=1e-12)
+    eye = np.eye(d, dtype=complex)
+    np.testing.assert_allclose(unit_images(ch), _ref_unit_images(ch.kraus, eye), rtol=0, atol=1e-12)
+    cols = random_unitary(d, rng)
+    np.testing.assert_allclose(unit_images(ch, cols), _ref_unit_images(ch.kraus, cols), rtol=0, atol=1e-12)
+    if d == d_out:
+        np.testing.assert_allclose(classical_action(ch), _ref_classical(ch.kraus, eye), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(classical_action(ch, cols), _ref_classical(ch.kraus, cols), rtol=0, atol=1e-12)
+    else:
+        want = np.array([[np.real(_ref_apply(ch.kraus, np.outer(eye[j], eye[j]))[i, i]) for j in range(d)]
+                         for i in range(d_out)])
+        np.testing.assert_allclose(classical_action(ch), want, rtol=0, atol=1e-12)
+    for side, dims in (("A", (d, 2)), ("B", (3, d))):
+        state = BipartiteState(random_density_matrix(dims[0] * dims[1], rng), *dims)
+        out = local_apply(ch, state, side)
+        assert out.dims == ((d_out, 2) if side == "A" else (3, d_out))
+        np.testing.assert_allclose(out.state, _ref_local(ch.kraus, state.state, dims, side), rtol=0, atol=1e-12)
+
+
+def test_local_apply_rejects_bad_side_and_dimension():
+    rho = BipartiteState(np.eye(6) / 6, 2, 3)
+    with pytest.raises(ValueError, match="side"):
+        local_apply(identity_channel(2), rho, "C")
+    with pytest.raises(DimensionError, match="side B"):
+        local_apply(identity_channel(2), rho, "B")

@@ -181,6 +181,30 @@ def test_cli_rejects_negative_trials():
         run_suite("hierarchy", trials=-1)
 
 
+@pytest.mark.parametrize("violation", ["discord identity", "GI without SI"])
+def test_cli_invariant_violation_exits_3(violation, tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from coherence_kit import cli, coherence, discord
+
+    if violation == "discord identity":
+        real = discord.rel_ent_coherence
+        monkeypatch.setattr(discord, "rel_ent_coherence", lambda rho, basis=None: real(rho, basis) + 0.5)
+        argv = ["measure", "discord", write_json(tmp_path, "s.json", state_to_json(zero_discord_example()))]
+    else:
+        real = coherence.classify_kraus
+        monkeypatch.setattr(
+            coherence,
+            "classify_kraus",
+            lambda *a: dataclasses.replace(real(*a), strictly_incoherent=False, genuinely_incoherent=True),
+        )
+        argv = ["classify", write_json(tmp_path, "c.json", channel_to_json(NON_SI))]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "invariant violated" in out.err and violation in out.err
+
+
 def test_cli_rejects_negative_budget(tmp_path):
     path = write_json(tmp_path, "ic.json", state_to_json(zero_discord_example()))
     res = run_cli("measure", "recoverability", path, "--budget", "-3")

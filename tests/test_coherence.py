@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coherence_kit.channels import ChannelError, KrausChannel, apply, unitary_channel
+from coherence_kit.channels import ChannelError, KrausChannel, apply, unitary_channel, with_memory
 from coherence_kit.coherence import (
     Basis,
     classify_channel,
@@ -182,3 +182,32 @@ def test_si_channels_commute_with_dephasing():
     for t in range(10):
         e = random_si_channel(2 + t % 3, 2, seed=73, index=t)
         assert dephasing_commutant_deviation(e) < 1e-10
+
+
+def _loop_deviation(e, b=None):
+    cols = np.eye(e.dim_in) if b is None else b.columns
+    want = 0.0
+    for i in range(e.dim_in):
+        for j in range(e.dim_in):
+            unit = np.outer(cols[:, i], cols[:, j].conj())
+            diff = dephase(apply(e, unit), b) - apply(e, dephase(unit, b))
+            want = max(want, float(np.max(np.abs(diff))))
+    return want
+
+
+def test_dephasing_deviation_in_rotated_basis_matches_loop():
+    rng = stream(79, 0)
+    for e in (
+        NON_SI,
+        random_incoherent_not_si_channel(3, seed=79, index=0),
+        random_si_channel(3, 2, seed=79),
+        unitary_channel(random_unitary(4, rng)),
+    ):
+        b = Basis(random_unitary(e.dim_in, rng))
+        want = _loop_deviation(e, b)
+        assert dephasing_commutant_deviation(e, b) == pytest.approx(want, rel=0, abs=1e-12)
+        assert want > 1e-4
+    # A channel whose output is larger than its input, in the computational basis.
+    memory = with_memory(NON_SI)
+    want = _loop_deviation(memory)
+    assert dephasing_commutant_deviation(memory) == pytest.approx(want, rel=0, abs=1e-12)

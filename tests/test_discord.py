@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coherence_kit.channels import BipartiteState, ChannelError, KrausChannel, local_apply
-from coherence_kit.coherence import Basis, random_si_channel
+from coherence_kit.coherence import Basis, random_incoherent_not_si_channel, random_si_channel
 from coherence_kit.discord import (
     basis_discord,
     classical_correlations,
@@ -226,6 +226,20 @@ def test_j_witness_fixed_channel():
     assert before <= 1e-10
     assert after > 1e-4
     assert state.dims == (2, 2)
+
+
+def test_j_witness_invariant_under_global_kraus_phase():
+    # e^{i theta} K_mu is the same channel, so the witness must not move.
+    for d in (2, 3, 4):
+        for index in range(30):
+            e = random_incoherent_not_si_channel(d, seed=0, index=index)
+            state, phi, _, j_after = j_increase_witness(e)
+            for theta in (0.3, 1.1, 2.0):
+                turned = KrausChannel(tuple(np.exp(1j * theta) * k for k in e.kraus))
+                state2, phi2, _, j_after2 = j_increase_witness(turned)
+                np.testing.assert_allclose(state2.state, state.state, rtol=0, atol=1e-12)
+                assert abs(np.exp(1j * phi2) - np.exp(1j * phi)) <= 1e-12
+                assert j_after2 == pytest.approx(j_after, rel=0, abs=1e-12)
 
 
 def test_j_witness_rejects_si_channel():

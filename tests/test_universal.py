@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coherence_kit.channels import ChannelError, KrausChannel, apply, choi, unitary_channel
-from coherence_kit.coherence import Basis, classify_channel
+from coherence_kit.coherence import Basis, classify_channel, dephase
 from coherence_kit.linalg import dagger, eigvals_hermitian, ket
 from coherence_kit.sampling import random_density_matrix, random_unitary, stream
 from coherence_kit.universal import (
@@ -128,6 +128,40 @@ def test_every_basis_falsifier():
     deph = KrausChannel(tuple(np.outer(ket(i, 2), ket(i, 2)) for i in range(2)))
     assert every_basis_falsifier(deph, n_bases=50) is not None
     assert every_basis_falsifier(unitary_channel(HADAMARD), n_bases=50) is not None
+
+
+def _two_condition_falsifier(channel, n_bases, seed, tol=1e-8):
+    """The every-basis search written as two loops over matrix units: basis
+    projectors must stay basis-diagonal, and the channel must commute with
+    dephasing on the off-diagonal units."""
+    d = channel.dim_in
+    for trial in range(n_bases):
+        b = Basis(random_unitary(d, stream(seed, 61, d, trial)))
+        for i in range(d):
+            out = apply(channel, np.outer(b.columns[:, i], b.columns[:, i].conj()))
+            if np.max(np.abs(out - dephase(out, b))) > tol:
+                return b
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    unit = np.outer(b.columns[:, i], b.columns[:, j].conj())
+                    lhs = dephase(apply(channel, unit), b)
+                    rhs = apply(channel, dephase(unit, b))
+                    if np.max(np.abs(lhs - rhs)) > tol:
+                        return b
+    return None
+
+
+def test_every_basis_falsifier_matches_two_condition_loop():
+    found = 0
+    for name, ch in channel_zoo(0).items():
+        got = every_basis_falsifier(ch, n_bases=20)
+        want = _two_condition_falsifier(ch, n_bases=20, seed=0)
+        assert (got is None) == (want is None), name
+        if got is not None:
+            found += 1
+            np.testing.assert_array_equal(got.columns, want.columns)
+    assert found > 10
 
 
 def test_isotropic_decompose_round_trip():
