@@ -155,29 +155,35 @@ def choi(channel: KrausChannel) -> np.ndarray:
     return unit_images(channel).transpose(2, 0, 3, 1).reshape(d_out * d, d_out * d) / d
 
 
-def local_branches(channel: KrausChannel, rho: BipartiteState, side: str) -> np.ndarray:
-    """Per-outcome local action, stacked: (K_mu x I) rho (K_mu x I)^dag for
-    side "A", (I x K_mu) rho (I x K_mu)^dag for side "B".
+def _local_branches(k: np.ndarray, state: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
+    """Per-outcome local action of a raw ``(r, d_out, d_in)`` Kraus stack on a
+    bipartite matrix: (K_mu x I) rho (K_mu x I)^dag for side "A",
+    (I x K_mu) rho (I x K_mu)^dag for side "B".
 
     The state is viewed as a (d_a, d_b, d_a, d_b) tensor whose acted-on
     indices are contracted with the Kraus stack; no K x I is formed.
     """
-    da, db = rho.dims
+    da, db = dims
     if side == "A":
         d_in, other, into, out_of = da, db, (0, 1, 3, 2), (0, 1, 2, 4, 3)
     elif side == "B":
         d_in, other, into, out_of = db, da, (1, 0, 2, 3), (0, 2, 1, 3, 4)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if channel.dim_in != d_in:
+    r, d_out, k_in = k.shape
+    if k_in != d_in:
         raise DimensionError(f"channel does not act on side {side}'s dimension")
-    k = channel.kraus
-    r, d_out = len(k), channel.dim_out
     # Indices [a, i, j, b]: a and b are the acted-on ket and bra indices.
-    t = rho.state.reshape(da, db, da, db).transpose(into).reshape(d_in, -1)
+    t = state.reshape(da, db, da, db).transpose(into).reshape(d_in, -1)
     half = (k @ t).reshape(r, d_out * other * other, d_in)
     out = (half @ dagger(k)).reshape(r, d_out, other, other, d_out).transpose(out_of)
     return out.reshape(r, d_out * other, d_out * other)
+
+
+def local_branches(channel: KrausChannel, rho: BipartiteState, side: str) -> np.ndarray:
+    """Per-outcome local action, stacked: (K_mu x I) rho (K_mu x I)^dag for
+    side "A", (I x K_mu) rho (I x K_mu)^dag for side "B"."""
+    return _local_branches(channel.kraus, rho.state, rho.dims, side)
 
 
 def local_apply(channel: KrausChannel, rho: BipartiteState, side: str) -> BipartiteState:

@@ -14,7 +14,9 @@ from .channels import (
     BipartiteState,
     ChannelError,
     KrausChannel,
+    _local_branches,
     compose,
+    identity_channel,
     local_apply,
     local_branches,
     pad_trace_preserving,
@@ -110,41 +112,6 @@ def basis_discord(rho: BipartiteState, basis: Basis | None = None) -> DiscordRep
     if delta < -1e-9:
         raise InvariantError(f"negative discord {delta:.3e}")
     return DiscordReport(i, j, delta, c_a, c_cond)
-
-
-def conditional_coherence_bruteforce(rho: BipartiteState, grid: int = 24) -> float:
-    """Direct minimization of S(rho || chi) over incoherent-quantum states chi.
-
-    Grid over diagonal weights with conditional B states taken from the
-    dephased input; used only to validate the closed form at tiny sizes.
-    """
-    from .linalg import relative_entropy
-
-    da, db = rho.dims
-    sigma = _dephase_a(rho).state
-    conds = []
-    for i in range(da):
-        block = sigma[i * db : (i + 1) * db, i * db : (i + 1) * db]
-        p = float(np.real(np.trace(block)))
-        conds.append(block / p if p > NEGLIGIBLE_P else np.eye(db) / db)
-    best = np.inf
-    for w in _simplex_grid(da, grid):
-        chi = np.zeros_like(sigma)
-        for i in range(da):
-            chi[i * db : (i + 1) * db, i * db : (i + 1) * db] = w[i] * conds[i]
-        if min(w) <= 0:
-            continue
-        best = min(best, relative_entropy(rho.state, chi))
-    return best
-
-
-def _simplex_grid(n: int, steps: int):
-    if n == 1:
-        yield (1.0,)
-        return
-    for k in range(steps + 1):
-        for rest in _simplex_grid(n - 1, steps - k):
-            yield (k / steps,) + tuple(r * (steps - k) / steps for r in rest)
 
 
 def petz_channel(rho_a: np.ndarray, projectors: list[np.ndarray] | None = None) -> KrausChannel:
@@ -374,25 +341,25 @@ def j_increase_witness(channel: KrausChannel, basis: Basis | None = None):
     return state, phi, j_before, j_after
 
 
-def _stinespring_kraus(theta: np.ndarray, dim: int, ancilla: int) -> tuple[np.ndarray, ...]:
+def _stinespring_chart(dim: int, ancilla: int):
     """Stinespring chart: real vector -> Hermitian generator -> unitary on
-    system x ancilla -> Kraus operators K_mu = (I x <mu|) U (I x |0>)."""
+    system x ancilla -> Kraus stack K_mu = (I x <mu|) U (I x |0>), shaped
+    ``(ancilla, dim, dim)``.  The generator's index arrays are built once."""
     from scipy.linalg import expm
 
     n = dim * ancilla
-    h = np.zeros((n, n), dtype=complex)
     iu = np.triu_indices(n, 1)
-    m = n * (n - 1) // 2
-    h[iu] = theta[:m] + 1j * theta[m : 2 * m]
-    h = h + dagger(h)
-    h[np.diag_indices(n)] = theta[2 * m :]
-    u = expm(1j * h)
-    blocks = u.reshape(dim, ancilla, dim, ancilla)[:, :, :, 0]
-    return tuple(blocks[:, mu, :] for mu in range(ancilla))
+    diag = np.diag_indices(n)
+    m = len(iu[0])
 
+    def kraus(theta: np.ndarray) -> np.ndarray:
+        h = np.zeros((n, n), dtype=complex)
+        h[iu] = theta[:m] + 1j * theta[m : 2 * m]
+        h = h + dagger(h)
+        h[diag] = theta[2 * m :]
+        return expm(1j * h).reshape(dim, ancilla, dim, ancilla)[:, :, :, 0].transpose(1, 0, 2)
 
-def _params_to_channel(theta: np.ndarray, dim: int, ancilla: int) -> KrausChannel:
-    return KrausChannel(_stinespring_kraus(theta, dim, ancilla))
+    return kraus
 
 
 def _channel_to_params(channel: KrausChannel, ancilla: int) -> np.ndarray:
@@ -455,6 +422,14 @@ def recoverability(
     candidate, so the result never exceeds the Petz value.  When
     ``dephase_dims = (m, d)`` the A side factors as memory x system and
     only the system factor is dephased.
+
+    Besides ``value``, ``petz_value`` and the best ``channel``, the result
+    says whether Nelder-Mead ran at all (``optimized``) and whether it ran
+    and every run reported success (``converged``).  ``optimized`` is false
+    for ``budget=0``, for more than ``max_params`` chart parameters, and for
+    ``budget=1`` when the Petz channel cannot be charted (its embedding
+    cannot be completed to a unitary, or the matrix logarithm fails), since
+    the Petz start is then the only one and it is dropped.
     """
     work = rho if basis is None or basis.is_computational() else _rotate_a(rho, basis)
     da, db = work.dims
@@ -475,40 +450,35 @@ def recoverability(
 
     petz = petz_channel(work.marginal("A"), projectors)
 
-    eye_b = np.eye(db, dtype=complex)
     sigma_mat = sigma.state
     target = work.state
 
-    def value_ops(ops) -> float:
-        big = [np.kron(k, eye_b) for k in ops]
-        recovered = sum(k @ sigma_mat @ dagger(k) for k in big)
+    def value_ops(ops: np.ndarray) -> float:
+        recovered = _local_branches(ops, sigma_mat, (da, db), "A").sum(axis=0)
         return distance(metric, target, recovered)
 
-    def value(channel: KrausChannel) -> float:
-        return value_ops(channel.kraus)
-
-    petz_value = value(petz)
+    petz_value = value_ops(petz.kraus)
     best_value = petz_value
     best_channel = petz
-    from .channels import identity_channel
-
     for cand in (identity_channel(da),) + tuple(extra_candidates):
-        v = value(cand)
+        v = value_ops(cand.kraus)
         if v < best_value:
             best_value, best_channel = v, cand
 
     anc = ancilla if ancilla is not None else da * da
-    n = da * anc
-    n_params = n * n
+    n_params = (da * anc) ** 2
+    successes = []
     if n_params <= max_params and budget > 0:
+        chart = _stinespring_chart(da, anc)
+
         def objective(theta):
-            return value_ops(_stinespring_kraus(theta, da, anc))
+            return value_ops(chart(theta))
 
         rng = stream(seed, 53, da, db)
         starts = []
         try:
             starts.append(_channel_to_params(petz, anc))
-        except Exception:
+        except (StopIteration, np.linalg.LinAlgError):
             pass
         for _ in range(max(0, budget - 1)):
             starts.append(rng.normal(scale=0.5, size=n_params))
@@ -519,13 +489,20 @@ def recoverability(
                 method="Nelder-Mead",
                 options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10},
             )
+            successes.append(bool(res.success))
             if res.fun < best_value:
                 best_value = float(res.fun)
-                best_channel = _params_to_channel(res.x, da, anc)
+                best_channel = KrausChannel(chart(res.x))
 
     if basis is not None and not basis.is_computational():
         best_channel = KrausChannel(basis.from_coords(best_channel.kraus))
-    return {"value": max(0.0, best_value), "petz_value": petz_value, "channel": best_channel}
+    return {
+        "value": max(0.0, best_value),
+        "petz_value": petz_value,
+        "channel": best_channel,
+        "optimized": bool(successes),
+        "converged": bool(successes) and all(successes),
+    }
 
 
 def _unpermute_map(channel: KrausChannel) -> KrausChannel:

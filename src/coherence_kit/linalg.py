@@ -207,10 +207,16 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     root = matrix_function(rho, "sqrt")
     inner = root @ np.asarray(sigma, dtype=complex) @ root
     lam = eigvals_hermitian((inner + dagger(inner)) / 2.0)
-    # Eigenvalues at the float noise floor of the spectrum are zero: their
-    # square roots (~1e-8) would otherwise inflate the fidelity.
-    floor = 64.0 * np.finfo(float).eps * max(1.0, float(lam[-1]))
-    return float(np.sum(np.sqrt(lam[lam > floor])))
+    return float(np.sum(np.sqrt(lam[above_noise_floor(lam)])))
+
+
+def above_noise_floor(lam: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues of sqrt(rho) sigma sqrt(rho) that count.
+
+    Eigenvalues at the float noise floor of the spectrum are zero: their
+    square roots (~1e-8) would otherwise inflate the fidelity.
+    """
+    return lam > 64.0 * np.finfo(float).eps * max(1.0, float(lam.max()))
 
 
 METRICS = ("trace", "one_minus_fidelity", "rel_ent")

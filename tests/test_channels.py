@@ -3,6 +3,7 @@ import pytest
 
 from coherence_kit.channels import (
     BipartiteState,
+    _local_branches,
     ChannelError,
     KrausChannel,
     apply,
@@ -215,6 +216,27 @@ def test_batched_actions_match_loop_reference(case):
         out = local_apply(ch, state, side)
         assert out.dims == ((d_out, 2) if side == "A" else (3, d_out))
         np.testing.assert_allclose(out.state, _ref_local(ch.kraus, state.state, dims, side), rtol=0, atol=1e-12)
+
+
+LOCAL_KERNEL_CASES = {
+    "A r=1": lambda rng: ("A", (2, 3), unitary_channel(random_unitary(2, rng))),
+    "A r=d^2": lambda rng: ("A", (2, 2), _random_channel(2, 2, 4, rng)),
+    "B r=d^2": lambda rng: ("B", (2, 3), _random_channel(3, 3, 9, rng)),
+    # A = memory x system, as recoverability(dephase_dims=(2, 2)) sees it.
+    "A memory d_A=4": lambda rng: ("A", (4, 2), _random_channel(4, 4, 3, rng)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCAL_KERNEL_CASES))
+def test_local_kernel_matches_kron_reference(case):
+    rng = stream(31, 7, sorted(LOCAL_KERNEL_CASES).index(case))
+    side, dims, ch = LOCAL_KERNEL_CASES[case](rng)
+    rho = random_density_matrix(dims[0] * dims[1], rng)
+    branches = _local_branches(ch.kraus, rho, dims, side)
+    for k, got in zip(ch.kraus, branches):
+        np.testing.assert_allclose(got, _ref_local((k,), rho, dims, side), rtol=0, atol=1e-14)
+    state = BipartiteState(rho, *dims)
+    np.testing.assert_array_equal(local_apply(ch, state, side).state, branches.sum(axis=0))
 
 
 def test_local_apply_rejects_bad_side_and_dimension():

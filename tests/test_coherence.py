@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from coherence_kit.channels import ChannelError, KrausChannel, apply, unitary_channel, with_memory
 from coherence_kit.coherence import (
@@ -13,12 +16,13 @@ from coherence_kit.coherence import (
     dilation_construct,
     dilation_verify,
     fidelity_coherence,
+    fidelity_coherence_report,
     random_gi_channel,
     random_incoherent_not_si_channel,
     random_si_channel,
     rel_ent_coherence,
 )
-from coherence_kit.linalg import dagger
+from coherence_kit.linalg import dagger, fidelity
 from coherence_kit.sampling import random_density_matrix, random_pure_state, random_unitary, stream
 
 NON_SI = KrausChannel(
@@ -150,6 +154,102 @@ def test_fidelity_coherence_pure_state_closed_form():
         closed = 1.0 - np.max(np.abs(psi))
         got = fidelity_coherence(np.outer(psi, psi.conj()), restarts=1, seed=t)
         assert closed - 1e-12 <= got <= closed + 1e-6
+
+
+def _cf_interval(rho, basis=None):
+    rep = fidelity_coherence_report(rho, basis)
+    assert rep["lower_bound"] == max(0.0, rep["value"] - rep["gap"])
+    assert rep["value"] == fidelity_coherence(rho, basis)
+    return rep
+
+
+def test_fidelity_coherence_certifies_pure_state_closed_form():
+    for t in range(30):
+        psi = random_pure_state(2 + t % 3, stream(98, t))
+        closed = 1.0 - np.max(np.abs(psi))
+        rep = _cf_interval(np.outer(psi, psi.conj()))
+        assert rep["lower_bound"] - 1e-12 <= closed <= rep["value"] + 1e-12
+
+
+def test_fidelity_coherence_certifies_qubit_closed_form():
+    # Qubit geometric coherence (Streltsov et al., arXiv:1502.05876) in root
+    # fidelity: max_sigma F = sqrt((1 + sqrt(1 - 4|rho_01|^2)) / 2).
+    for t in range(200):
+        rho = random_density_matrix(2, stream(99, t))
+        closed = 1.0 - np.sqrt((1.0 + np.sqrt(1.0 - 4.0 * abs(rho[0, 1]) ** 2)) / 2.0)
+        rep = _cf_interval(rho)
+        assert rep["lower_bound"] - 1e-12 <= closed <= rep["value"] + 1e-12
+
+
+def test_fidelity_coherence_in_rotated_basis():
+    rng = stream(100, 0)
+    for d in (2, 3, 4):
+        u = random_unitary(d, rng)
+        coords = random_density_matrix(d, rng)
+        plain = fidelity_coherence_report(coords)
+        rotated = _cf_interval(u @ coords @ dagger(u), Basis(u))
+        assert rotated["value"] == pytest.approx(plain["value"], abs=1e-12)
+        assert rotated["converged"]
+        psi = random_pure_state(d, rng)
+        closed = 1.0 - np.max(np.abs(psi))
+        ket_ = u @ psi
+        rep = _cf_interval(np.outer(ket_, ket_.conj()), Basis(u))
+        assert rep["lower_bound"] - 1e-12 <= closed <= rep["value"] + 1e-12
+
+
+def test_fidelity_coherence_with_zero_or_negative_populations():
+    # An empty level comes out of a basis change as a +-1e-17 population,
+    # and the validator admits states with entries a little below zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in range(12):
+            rng = stream(102, t)
+            d = 3 + t % 2
+            u = random_unitary(d, rng)
+            p = np.zeros(d)
+            p[: d - 1] = rng.dirichlet(np.ones(d - 1))
+            rep = _cf_interval(u @ np.diag(p) @ dagger(u), Basis(u))
+            assert rep["converged"] and rep["value"] == pytest.approx(0.0, abs=1e-12)
+            qubit = random_density_matrix(2, rng)
+            rho = np.zeros((3, 3), dtype=complex)
+            rho[:2, :2] = qubit
+            rho[2, 2] = -1e-15
+            closed = 1.0 - np.sqrt((1.0 + np.sqrt(1.0 - 4.0 * abs(qubit[0, 1]) ** 2)) / 2.0)
+            rep = _cf_interval(rho)
+            assert rep["converged"]
+            assert rep["lower_bound"] - 1e-12 <= closed <= rep["value"] + 1e-12
+
+
+def _nelder_mead_cf(rho, restarts=20, seed=0):
+    """The former C_f optimizer: Nelder-Mead over a softmax chart of the
+    simplex from the dephased diagonal and restarts - 1 Dirichlet samples."""
+    d = rho.shape[0]
+
+    def objective(x):
+        w = np.exp(x - np.max(x))
+        return 1.0 - fidelity(rho, np.diag(w / np.sum(w)).astype(complex))
+
+    diag = np.clip(np.real(np.diag(rho)), 1e-6, None)
+    starts = [np.log(diag / np.sum(diag))]
+    rng = stream(seed, 91, d)
+    for _ in range(restarts - 1):
+        starts.append(np.log(np.clip(rng.dirichlet(np.ones(d)), 1e-6, None)))
+    opts = {"xatol": 1e-9, "fatol": 1e-9, "maxiter": 400 * d}
+    return max(0.0, min(float(minimize(objective, x0, method="Nelder-Mead", options=opts).fun) for x0 in starts))
+
+
+def test_fidelity_coherence_never_above_nelder_mead_reference():
+    for t, (d, kind) in enumerate((d, k) for d in (2, 3, 4) for k in ("pure", "rank-2", "full-rank")):
+        rng = stream(101, t)
+        if kind == "full-rank":
+            rho = random_density_matrix(d, rng)
+        else:
+            vecs = [random_pure_state(d, rng) for _ in range(1 if kind == "pure" else 2)]
+            p = rng.uniform(0.2, 0.8, size=len(vecs))
+            rho = sum(w * np.outer(v, v.conj()) for w, v in zip(p / p.sum(), vecs))
+        rep = _cf_interval(rho)
+        assert rep["converged"] and rep["gap"] <= 1e-10
+        assert rep["value"] <= _nelder_mead_cf(rho, seed=t) + 1e-9
 
 
 def test_coherence_measures_bounds():

@@ -6,7 +6,6 @@ from coherence_kit.coherence import Basis, random_incoherent_not_si_channel, ran
 from coherence_kit.discord import (
     basis_discord,
     classical_correlations,
-    conditional_coherence_bruteforce,
     delta_creation_demo,
     ensemble_monotonicity_trial,
     j_increase_witness,
@@ -18,7 +17,16 @@ from coherence_kit.discord import (
     zero_discord_decompose,
     zero_discord_example,
 )
-from coherence_kit.linalg import ket, projector, tensor_product, trace_distance
+from coherence_kit.linalg import (
+    METRICS,
+    dephase_subsystem,
+    distance,
+    ket,
+    projector,
+    relative_entropy,
+    tensor_product,
+    trace_distance,
+)
 from coherence_kit.sampling import random_density_matrix, random_unitary, stream
 
 
@@ -79,6 +87,39 @@ def test_delta_creation_value():
     demo = delta_creation_demo()
     assert demo["before"] == pytest.approx(0.0, abs=1e-9)
     assert demo["after"] == pytest.approx(0.1887, abs=5e-4)
+
+
+def _simplex_grid(n: int, steps: int):
+    if n == 1:
+        yield (1.0,)
+        return
+    for k in range(steps + 1):
+        for rest in _simplex_grid(n - 1, steps - k):
+            yield (k / steps,) + tuple(r * (steps - k) / steps for r in rest)
+
+
+def conditional_coherence_bruteforce(rho: BipartiteState, grid: int = 24) -> float:
+    """Direct minimization of S(rho || chi) over incoherent-quantum states chi.
+
+    Grid over diagonal weights with conditional B states taken from the
+    dephased input; a test oracle for the closed form at tiny sizes.
+    """
+    da, db = rho.dims
+    sigma = dephase_subsystem(rho.state, rho.dims, 0)
+    conds = []
+    for i in range(da):
+        block = sigma[i * db : (i + 1) * db, i * db : (i + 1) * db]
+        p = float(np.real(np.trace(block)))
+        conds.append(block / p if p > 1e-12 else np.eye(db) / db)
+    best = np.inf
+    for w in _simplex_grid(da, grid):
+        chi = np.zeros_like(sigma)
+        for i in range(da):
+            chi[i * db : (i + 1) * db, i * db : (i + 1) * db] = w[i] * conds[i]
+        if min(w) <= 0:
+            continue
+        best = min(best, relative_entropy(rho.state, chi))
+    return best
 
 
 def test_conditional_coherence_closed_form_matches_bruteforce():
@@ -269,6 +310,32 @@ def test_recoverability_optimizer_beats_or_matches_petz():
     res = recoverability(rho, budget=2, maxiter=400)
     assert res["value"] <= res["petz_value"] + 1e-12
     assert res["channel"].trace_preserving
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_recoverability_channel_reproduces_value(metric):
+    rho = BipartiteState(random_density_matrix(4, stream(128, 0)), 2, 2)
+    res = recoverability(rho, metric=metric, budget=1, maxiter=200)
+    assert res["value"] < res["petz_value"]
+    dephased = BipartiteState(dephase_subsystem(rho.state, rho.dims, 0), 2, 2)
+    recovered = local_apply(res["channel"], dephased, "A")
+    assert distance(metric, rho.state, recovered.state) == pytest.approx(res["value"], rel=0, abs=1e-12)
+
+
+def test_recoverability_reports_optimizer_state():
+    rho = BipartiteState(random_density_matrix(4, stream(129, 0)), 2, 2)
+    petz_only = recoverability(rho, budget=0)
+    assert not petz_only["optimized"] and not petz_only["converged"]
+    capped = recoverability(rho, budget=1, maxiter=20)
+    assert capped["optimized"] and not capped["converged"]
+    # One ancilla level: a 4-parameter unitary chart that Nelder-Mead settles.
+    settled = recoverability(rho, budget=1, ancilla=1)
+    assert settled["optimized"] and settled["converged"]
+    # (3 * 9)^2 chart parameters exceed max_params: the optimizer is skipped.
+    wide = BipartiteState(random_density_matrix(6, stream(129, 1)), 3, 2)
+    skipped = recoverability(wide, budget=1)
+    assert not skipped["optimized"] and not skipped["converged"]
+    assert skipped["value"] <= skipped["petz_value"]
 
 
 def test_memory_monotonicity_identity_channel():
