@@ -205,6 +205,15 @@ def test_cli_invariant_violation_exits_3(violation, tmp_path, monkeypatch, capsy
     assert "invariant violated" in out.err and violation in out.err
 
 
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, coherence_kit, coherence_kit.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
 def test_cli_rejects_negative_budget(tmp_path):
     path = write_json(tmp_path, "ic.json", state_to_json(zero_discord_example()))
     res = run_cli("measure", "recoverability", path, "--budget", "-3")

@@ -1,9 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, logm
+from scipy.optimize import minimize
 
-from coherence_kit.channels import BipartiteState, ChannelError, KrausChannel, local_apply
+from coherence_kit.channels import (
+    BipartiteState,
+    ChannelError,
+    KrausChannel,
+    _local_branches,
+    choi,
+    local_apply,
+    with_memory,
+)
 from coherence_kit.coherence import Basis, random_incoherent_not_si_channel, random_si_channel
 from coherence_kit.discord import (
+    _RecoveryProblem,
     basis_discord,
     classical_correlations,
     delta_creation_demo,
@@ -27,7 +42,7 @@ from coherence_kit.linalg import (
     tensor_product,
     trace_distance,
 )
-from coherence_kit.sampling import random_density_matrix, random_unitary, stream
+from coherence_kit.sampling import random_density_matrix, random_pure_state, random_unitary, stream
 
 
 def product_state(da, db, seed=0):
@@ -326,16 +341,163 @@ def test_recoverability_reports_optimizer_state():
     rho = BipartiteState(random_density_matrix(4, stream(129, 0)), 2, 2)
     petz_only = recoverability(rho, budget=0)
     assert not petz_only["optimized"] and not petz_only["converged"]
+    assert petz_only["iterations"] == 0 and petz_only["lower_bound"] == 0.0
     capped = recoverability(rho, budget=1, maxiter=20)
     assert capped["optimized"] and not capped["converged"]
-    # One ancilla level: a 4-parameter unitary chart that Nelder-Mead settles.
-    settled = recoverability(rho, budget=1, ancilla=1)
+    assert capped["iterations"] == 20 and capped["lower_bound"] < capped["value"]
+    settled = recoverability(rho, budget=1)
     assert settled["optimized"] and settled["converged"]
-    # (3 * 9)^2 chart parameters exceed max_params: the optimizer is skipped.
+    assert settled["value"] - settled["lower_bound"] <= 1e-8
+    # A 3 x 2 state: the former Stinespring chart had (3 * 9)^2 parameters
+    # and skipped it; the Choi-matrix solve runs on it like on any other.
     wide = BipartiteState(random_density_matrix(6, stream(129, 1)), 3, 2)
-    skipped = recoverability(wide, budget=1)
-    assert not skipped["optimized"] and not skipped["converged"]
-    assert skipped["value"] <= skipped["petz_value"]
+    solved = recoverability(wide, budget=1)
+    assert solved["optimized"] and solved["iterations"] > 0
+    assert solved["lower_bound"] <= solved["value"] < solved["petz_value"]
+
+
+def _stinespring_chart(dim, ancilla):
+    """The former recoverability chart: real vector -> Hermitian generator ->
+    unitary U on system x ancilla -> Kraus stack K_mu = (I x <mu|) U (I x |0>)."""
+    n = dim * ancilla
+    iu = np.triu_indices(n, 1)
+    m = len(iu[0])
+
+    def kraus(theta):
+        h = np.zeros((n, n), dtype=complex)
+        h[iu] = theta[:m] + 1j * theta[m : 2 * m]
+        h = h + h.conj().T
+        h[np.diag_indices(n)] = theta[2 * m :]
+        return expm(1j * h).reshape(dim, ancilla, dim, ancilla)[:, :, :, 0].transpose(1, 0, 2)
+
+    return kraus
+
+
+def _chart_point(kraus, ancilla):
+    """Chart parameters of a Kraus stack of at most ``ancilla`` operators:
+    its isometry is completed to a unitary by QR, then logm gives the generator."""
+    r, dim, _ = kraus.shape
+    n = dim * ancilla
+    iso = np.zeros((dim, ancilla, dim), dtype=complex)
+    iso[:, :r] = kraus.transpose(1, 0, 2)
+    iso = iso.reshape(n, dim)
+    q, _ = np.linalg.qr(np.hstack([iso, np.eye(n)]))
+    first = np.arange(dim) * ancilla
+    u = np.zeros((n, n), dtype=complex)
+    u[:, first] = iso
+    u[:, np.setdiff1d(np.arange(n), first)] = q[:, dim:]
+    h = logm(u) / 1j
+    h = (h + h.conj().T) / 2.0
+    iu = np.triu_indices(n, 1)
+    return np.concatenate([h[iu].real, h[iu].imag, np.diag(h).real])
+
+
+def _nelder_mead_recoverability(rho, metric, maxiter=2000):
+    """The former optimizer as an oracle: the best of Petz, the identity and a
+    Nelder-Mead run of ``maxiter`` iterations from Petz over the d_A^2-ancilla chart."""
+    da, db = rho.dims
+    sigma = dephase_subsystem(rho.state, rho.dims, 0)
+    chart = _stinespring_chart(da, da * da)
+
+    def objective_ops(ops):
+        return distance(metric, rho.state, _local_branches(ops, sigma, rho.dims, "A").sum(axis=0))
+
+    petz, _ = petz_recover(rho)
+    start = _chart_point(petz.kraus, da * da)
+    assert objective_ops(chart(start)) == pytest.approx(objective_ops(petz.kraus), abs=1e-9)
+    res = minimize(
+        lambda theta: objective_ops(chart(theta)),
+        start,
+        method="Nelder-Mead",
+        options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10},
+    )
+    return min(float(res.fun), objective_ops(petz.kraus), objective_ops(np.eye(da)[None]))
+
+
+def _assert_certified(res, rho, metric, dephase_dims=None):
+    """lower_bound <= value <= Petz value, a CPTP channel, and that channel,
+    rescored by local action and the metric, reproduces the value."""
+    assert res["lower_bound"] <= res["value"] <= max(0.0, res["petz_value"])
+    channel = KrausChannel(res["channel"].kraus)
+    assert channel.trace_preserving
+    if dephase_dims is None:
+        sigma = dephase_subsystem(rho.state, rho.dims, 0)
+    else:
+        sigma = dephase_subsystem(rho.state, (*dephase_dims, rho.dim_b), 1)
+    recovered = local_apply(channel, BipartiteState(sigma, *rho.dims), "A")
+    rescored = max(0.0, distance(metric, rho.state, recovered.state))
+    assert rescored == pytest.approx(res["value"], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_recoverability_certified_below_nelder_mead(metric):
+    for t in range(3):
+        rho = BipartiteState(random_density_matrix(4, stream(151, t)), 2, 2)
+        res = recoverability(rho, metric=metric, budget=1)
+        _assert_certified(res, rho, metric)
+        assert res["value"] <= _nelder_mead_recoverability(rho, metric) + 1e-9
+
+
+def test_memory_trial_sides_certified():
+    for t in range(3):
+        rng = stream(153, t)
+        rho = BipartiteState(random_density_matrix(4, rng), 2, 2)
+        e = random_si_channel(2, 2, seed=153, index=t)
+        trial = memory_monotonicity_trial(rho, e, budget=1, seed=t)
+        assert trial["pass"]
+        assert trial["before"] <= _nelder_mead_recoverability(rho, "trace") + 1e-9
+        extended = local_apply(with_memory(e), rho, "A")
+        after = recoverability(extended, budget=1, dephase_dims=(len(e), 2))
+        assert after["optimized"] and after["iterations"] > 0
+        _assert_certified(after, extended, "trace", dephase_dims=(len(e), 2))
+
+
+def _property_state(seed, kind):
+    rng = stream(157, seed)
+    if kind == "random":
+        return BipartiteState(random_density_matrix(4, rng), 2, 2)
+    if kind == "zero-discord":
+        return random_zero_discord_state(2, 2, seed=157, index=seed)
+    vecs = [random_pure_state(4, rng) for _ in range(int(rng.integers(1, 3)))]
+    weights = rng.dirichlet(np.ones(len(vecs)))
+    return BipartiteState(sum(w * projector(v) for w, v in zip(weights, vecs)), 2, 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["random", "rank-deficient", "zero-discord"]),
+    metric=st.sampled_from(METRICS),
+)
+def test_recoverability_bound_and_channel_property(seed, kind, metric):
+    rho = _property_state(seed, kind)
+    short = recoverability(rho, metric=metric, budget=1, maxiter=200)
+    _assert_certified(short, rho, metric)
+    # Each run's bound lies below the other run's value: both bracket the optimum.
+    full = recoverability(rho, metric=metric, budget=1)
+    _assert_certified(full, rho, metric)
+    assert short["lower_bound"] <= full["value"] and full["lower_bound"] <= short["value"]
+
+
+def test_recoverability_starts_at_padded_petz_channel():
+    # Side A is a qutrit whose level 2 is empty, so the dephased marginal is
+    # singular and the Petz channel carries the padding operator: more Kraus
+    # operators than d_A.  The former chart kept only the first few of them.
+    mat = np.zeros((6, 6), dtype=complex)
+    mat[:4, :4] = random_density_matrix(4, stream(163, 0))
+    rho = BipartiteState(mat, 3, 2)
+    petz, _ = petz_recover(rho)
+    assert len(petz) > rho.dim_a
+    sigma = dephase_subsystem(mat, rho.dims, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric in METRICS:
+            res = recoverability(rho, metric=metric, budget=1)
+            problem = _RecoveryProblem(metric, mat, sigma, rho.dims)
+            start = distance(metric, mat, problem.link(rho.dim_a * choi(petz)))
+            assert start == pytest.approx(res["petz_value"], rel=0, abs=1e-12)
+            assert res["optimized"] and res["value"] <= res["petz_value"]
+            _assert_certified(res, rho, metric)
 
 
 def test_memory_monotonicity_identity_channel():
