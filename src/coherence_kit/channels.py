@@ -7,16 +7,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    VALIDATION_TOL,
     DimensionError,
     dagger,
     eigvals_hermitian,
     ket,
+    matrix_function,
     partial_trace,
     validate_density_matrix,
 )
-
-TP_TOL = 1e-10
-NEGLIGIBLE_OUTCOME = 1e-12
 
 
 class ChannelError(ValueError):
@@ -55,7 +54,7 @@ class KrausChannel:
             raise ChannelError("Kraus operator has a non-finite entry")
         gram = self.completeness()
         top = eigvals_hermitian(gram - np.eye(self.dim_in))[-1]
-        if top > TP_TOL:
+        if top > VALIDATION_TOL:
             raise ChannelError(f"sum K^dag K exceeds identity by {top:.3e}")
 
     def completeness(self) -> np.ndarray:
@@ -63,7 +62,7 @@ class KrausChannel:
 
     @property
     def trace_preserving(self) -> bool:
-        return bool(np.max(np.abs(self.completeness() - np.eye(self.dim_in))) <= TP_TOL)
+        return bool(np.max(np.abs(self.completeness() - np.eye(self.dim_in))) <= VALIDATION_TOL)
 
     def __len__(self) -> int:
         return len(self.kraus)
@@ -114,28 +113,15 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return (k @ rho @ dagger(k)).sum(axis=0)
 
 
-def unit_images(channel: KrausChannel, columns: np.ndarray | None = None) -> np.ndarray:
-    """All images E(|b_i><b_j|) at once, as an array indexed [i, j, a, b].
-
-    ``columns`` holds the input basis vectors b_i as columns (default the
-    computational basis); the images stay in the output's computational
-    coordinates.  With A_mu = K_mu B the image is sum_mu A_mu[:, i] A_mu[:, j]^dag.
-    """
-    a = channel.kraus if columns is None else channel.kraus @ columns
-    return np.einsum("kai,kbj->ijab", a, a.conj())
+def _unit_images(k: np.ndarray) -> np.ndarray:
+    """All images E(|i><j|) of a raw ``(r, d_out, d_in)`` Kraus stack, as an
+    array indexed [i, j, a, b]: sum_mu K_mu[:, i] K_mu[:, j]^dag."""
+    return np.einsum("kai,kbj->ijab", k, k.conj())
 
 
-def selected_outcome(channel: KrausChannel, mu: int, rho: np.ndarray):
-    """Probability and normalized conditional state of one measurement branch.
-
-    Branches with probability below 1e-12 are flagged negligible (state None).
-    """
-    k = channel.kraus[mu]
-    out = k @ np.asarray(rho, dtype=complex) @ dagger(k)
-    p = float(np.real(np.trace(out)))
-    if p < NEGLIGIBLE_OUTCOME:
-        return p, None
-    return p, out / p
+def unit_images(channel: KrausChannel) -> np.ndarray:
+    """All images E(|i><j|) at once, as an array indexed [i, j, a, b]."""
+    return _unit_images(channel.kraus)
 
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
@@ -208,15 +194,16 @@ def with_memory(channel: KrausChannel) -> KrausChannel:
     return KrausChannel(ops.reshape(m, m * channel.dim_out, channel.dim_in))
 
 
-def classical_action(channel: KrausChannel, basis_columns: np.ndarray | None = None) -> np.ndarray:
-    """(Sub)stochastic matrix T_ij = <i| E(|j><j|) |i> in the given basis.
-
-    This is sum_mu |<i|K_mu|j>|^2 with the Kraus operators in basis coordinates.
-    """
-    k = channel.kraus
-    if basis_columns is not None:
-        k = dagger(basis_columns) @ k @ basis_columns
-    return np.sum(np.abs(k) ** 2, axis=0)
+def _pad_kraus(k: np.ndarray) -> np.ndarray:
+    """A raw Kraus stack with sqrt(I - sum K^dag K) appended, or the stack
+    itself when it is already trace preserving."""
+    gap = np.eye(k.shape[2]) - (dagger(k) @ k).sum(axis=0)
+    if np.max(np.abs(gap)) <= VALIDATION_TOL:
+        return k
+    if k.shape[1] != k.shape[2]:
+        raise ChannelError("can only pad square channels")
+    extra = matrix_function((gap + dagger(gap)) / 2.0, "sqrt")
+    return np.concatenate([k, extra[None]])
 
 
 def pad_trace_preserving(channel: KrausChannel) -> KrausChannel:
@@ -225,12 +212,5 @@ def pad_trace_preserving(channel: KrausChannel) -> KrausChannel:
     The completion is sqrt(I - sum K^dag K), well-defined for any
     trace-nonincreasing channel; a no-op when already trace-preserving.
     """
-    gap = np.eye(channel.dim_in) - channel.completeness()
-    if np.max(np.abs(gap)) <= TP_TOL:
-        return channel
-    from .linalg import matrix_function
-
-    extra = matrix_function((gap + dagger(gap)) / 2.0, "sqrt")
-    if channel.dim_out != channel.dim_in:
-        raise ChannelError("can only pad square channels")
-    return KrausChannel(np.concatenate([channel.kraus, extra[None]]))
+    ops = _pad_kraus(channel.kraus)
+    return channel if ops is channel.kraus else KrausChannel(ops)

@@ -27,7 +27,7 @@ from .discord import (
     zero_discord_decompose,
     zero_discord_example,
 )
-from .linalg import InvalidStateError, InvariantError, eigvals_hermitian, trace_distance
+from .linalg import STRUCTURE_TOL, InvalidStateError, InvariantError, eigvals_hermitian, trace_distance
 from .serialize import (
     ParseError,
     basis_from_json,
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--basis", help="basis JSON file (default computational)")
     p.add_argument("--observable", help="comma-separated eigenvalues for the covariance check")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=STRUCTURE_TOL)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("measure", help="coherence, discord or recoverability of a state")

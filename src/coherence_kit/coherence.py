@@ -8,12 +8,18 @@ of the same channel being incoherent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelError, KrausChannel, pad_trace_preserving, unit_images
+from .channels import BipartiteState, ChannelError, KrausChannel, _unit_images, pad_trace_preserving
 from .linalg import (
+    CF_GAP_TOL,
+    COVARIANCE_TOL,
+    GRAM_SCHMIDT_CUTOFF,
+    STRUCTURE_TOL,
+    VALIDATION_TOL,
     DimensionError,
     InvariantError,
     above_noise_floor,
@@ -23,18 +29,18 @@ from .linalg import (
     fidelity,
     ket,
     matrix_function,
+    tensor_product,
     trace_distance,
     trace_norm,
 )
-from .sampling import random_pure_state, stream
-
-STRUCTURE_TOL = 1e-8
-COVARIANCE_TOL = 1e-8
+from .sampling import random_pure_state, random_unitary, stream
 
 
 @dataclass(frozen=True)
 class Basis:
-    """Unitary whose columns are the incoherent basis vectors."""
+    """Unitary whose columns are the incoherent basis vectors.  Functions
+    taking one rotate their inputs into its coordinates once and their
+    operator outputs back; ``basis=None`` means computational."""
 
     columns: np.ndarray
 
@@ -43,8 +49,10 @@ class Basis:
         object.__setattr__(self, "columns", c)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise DimensionError("basis must be a square matrix of column vectors")
-        if np.max(np.abs(dagger(c) @ c - np.eye(c.shape[0]))) > 1e-10:
-            raise ValueError("basis columns are not unitary within 1e-10")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("basis has a non-finite entry")
+        if np.max(np.abs(dagger(c) @ c - np.eye(c.shape[0]))) > VALIDATION_TOL:
+            raise ValueError(f"basis columns are not unitary within {VALIDATION_TOL:.0e}")
 
     @classmethod
     def computational(cls, dim: int) -> "Basis":
@@ -55,23 +63,30 @@ class Basis:
         return self.columns.shape[0]
 
     def to_coords(self, m: np.ndarray) -> np.ndarray:
-        """Matrix coordinates in this basis."""
+        """Coordinates in this basis of a matrix or of each matrix in a stack."""
         return dagger(self.columns) @ np.asarray(m, dtype=complex) @ self.columns
 
     def from_coords(self, m: np.ndarray) -> np.ndarray:
+        """Inverse of ``to_coords``."""
         return self.columns @ np.asarray(m, dtype=complex) @ dagger(self.columns)
 
-    def is_computational(self) -> bool:
-        return bool(np.max(np.abs(self.columns - np.eye(self.dim))) < 1e-14)
+    def to_coords_a(self, rho: BipartiteState) -> BipartiteState:
+        """``to_coords`` on side A of a bipartite state."""
+        u = tensor_product(self.columns, np.eye(rho.dim_b))
+        return BipartiteState(dagger(u) @ rho.state @ u, rho.dim_a, rho.dim_b)
+
+    def from_coords_a(self, rho: BipartiteState) -> BipartiteState:
+        """Inverse of ``to_coords_a``."""
+        u = tensor_product(self.columns, np.eye(rho.dim_b))
+        return BipartiteState(u @ rho.state @ dagger(u), rho.dim_a, rho.dim_b)
 
 
 def dephase(rho: np.ndarray, basis: Basis | None = None) -> np.ndarray:
     """Erase off-diagonal elements in the incoherent basis."""
     rho = np.asarray(rho, dtype=complex)
-    if basis is None or basis.is_computational():
+    if basis is None:
         return np.diag(np.diag(rho))
-    coords = basis.to_coords(rho)
-    return basis.from_coords(np.diag(np.diag(coords)))
+    return basis.from_coords(np.diag(np.diag(basis.to_coords(rho))))
 
 
 @dataclass(frozen=True)
@@ -97,13 +112,14 @@ class KrausSymbolicForm:
 def classify_kraus(k: np.ndarray, basis: Basis | None = None, tol: float = STRUCTURE_TOL) -> KrausSymbolicForm:
     """Classify one Kraus operator as incoherent / SI / GI in the basis.
 
-    The significance threshold is ``tol`` relative to the largest entry.
+    The significance threshold is ``tol`` relative to the largest entry; a
+    tolerance that is not finite or is negative raises ValueError.
     Incoherent: at most one significant entry per column.  SI: additionally
     at most one per row (subpermutation pattern).  GI: diagonal.
     """
-    k = np.asarray(k, dtype=complex)
-    if basis is not None and not basis.is_computational():
-        k = basis.to_coords(k)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+    k = np.asarray(k, dtype=complex) if basis is None else basis.to_coords(k)
     if k.shape[0] != k.shape[1]:
         raise DimensionError("classification needs a square Kraus operator")
     d = k.shape[0]
@@ -129,7 +145,6 @@ def classify_kraus(k: np.ndarray, basis: Basis | None = None, tol: float = STRUC
     for j in range(d):
         col = mag[:, j]
         top = int(np.argmax(col))
-        rest = float(np.sum(col)) - float(col[top])
         second = float(np.partition(col, -2)[-2]) if d > 1 else 0.0
         col_violation = max(col_violation, second)
         if col[top] <= cutoff:
@@ -145,11 +160,7 @@ def classify_kraus(k: np.ndarray, basis: Basis | None = None, tol: float = STRUC
     # SI needs the significant pattern to be a subpermutation: no row hit twice.
     row_hits = [t for t, z in zip(target, zero_cols) if not z]
     subpermutation = incoherent and len(set(row_hits)) == len(row_hits)
-    row_violation = 0.0
-    for i in range(d):
-        row = np.sort(mag[i, :])
-        if d > 1:
-            row_violation = max(row_violation, float(row[-2]))
+    row_violation = float(np.sort(mag, axis=1)[:, -2].max()) if d > 1 else 0.0
     strictly = incoherent and subpermutation and row_violation <= cutoff
 
     diag_violation = float(np.max(mag - np.diag(np.diag(mag))))
@@ -226,16 +237,18 @@ def dephasing_commutant_deviation(channel: KrausChannel, basis: Basis | None = N
     far E(|b_i><b_i|) is from basis-diagonal and the i != j terms how large
     the basis-diagonal part of E(|b_i><b_j|) is.
     """
-    d = channel.dim_in
-    cols = None if basis is None or basis.is_computational() else basis.columns
-    images = unit_images(channel, cols)
-    if cols is None:
-        dev = images * np.eye(channel.dim_out)
-    else:
-        diag = np.einsum("am,ijab,bm->ijm", cols.conj(), images, cols)
-        dev = np.einsum("am,ijm,bm->ijab", cols, diag, cols.conj())
-    idx = np.arange(d)
+    return _commutant_deviation(channel.kraus if basis is None else basis.to_coords(channel.kraus), basis)
+
+
+def _commutant_deviation(kraus: np.ndarray, basis: Basis | None) -> float:
+    """``dephasing_commutant_deviation`` of a Kraus stack already in basis
+    coordinates; the deviation operators go back to the original ones."""
+    images = _unit_images(kraus)
+    dev = images * np.eye(kraus.shape[1])
+    idx = np.arange(kraus.shape[2])
     dev[idx, idx] -= images[idx, idx]
+    if basis is not None:
+        dev = basis.from_coords(dev)
     return float(np.max(np.abs(dev)))
 
 
@@ -250,10 +263,12 @@ def classify_channel(
     ``observable`` is an optional list of real eigenvalues attached to the
     basis states; when given, the covariance flag tests whether each Kraus
     operator shifts all basis states by one fixed eigenvalue difference.
+    A tolerance that is not finite or is negative raises ValueError.
     """
     if channel.dim_in != channel.dim_out:
         raise DimensionError("classification needs a square channel")
-    forms = tuple(classify_kraus(k, basis, tol) for k in channel.kraus)
+    kraus = channel.kraus if basis is None else basis.to_coords(channel.kraus)
+    forms = tuple(classify_kraus(k, None, tol) for k in kraus)
     incoherent = all(f.incoherent for f in forms)
     strictly = all(f.strictly_incoherent for f in forms)
     genuinely = all(f.genuinely_incoherent for f in forms)
@@ -261,13 +276,9 @@ def classify_channel(
     covariant: bool | None = None
     if observable is not None:
         a = np.asarray(observable, dtype=float)
-        coords = [
-            k if basis is None or basis.is_computational() else basis.to_coords(k)
-            for k in channel.kraus
-        ]
-        covariant = all(_kraus_covariant(k, a, COVARIANCE_TOL) for k in coords)
+        covariant = all(_kraus_covariant(k, a, COVARIANCE_TOL) for k in kraus)
 
-    deviation = dephasing_commutant_deviation(channel, basis)
+    deviation = _commutant_deviation(kraus, basis)
     commutes = deviation <= tol
 
     report = ClassificationReport(
@@ -315,25 +326,20 @@ def dilation_construct(channel: KrausChannel, basis: Basis | None = None) -> Dil
     operator if needed; with k Kraus operators the ancilla has dimension
     k + 1 and U_i's first column carries the coefficients (c^mu_i, r_i).
     """
-    b = basis if basis is not None else Basis.computational(channel.dim_in)
-    report = classify_channel(channel, b)
+    report = classify_channel(channel, basis)
     if not report.strictly_incoherent:
         raise ChannelError("dilation requires a strictly incoherent channel")
     padded = pad_trace_preserving(channel)
     if len(padded) > len(channel):
-        report = classify_channel(padded, b)
+        report = classify_channel(padded, basis)
         if not report.strictly_incoherent:
             raise ChannelError("trace-preserving completion broke SI structure")
 
     d = channel.dim_in
     k = len(padded)
     anc = k + 1
-    coeff = np.zeros((k, d), dtype=complex)
-    perms = []
-    for mu, form in enumerate(report.kraus_forms):
-        perms.append(form.permutation)
-        for i in range(d):
-            coeff[mu, i] = form.coefficients[i]
+    coeff = np.array([form.coefficients for form in report.kraus_forms], dtype=complex)
+    perms = [form.permutation for form in report.kraus_forms]
 
     controls = []
     for i in range(d):
@@ -355,7 +361,7 @@ def dilation_construct(channel: KrausChannel, basis: Basis | None = None) -> Dil
         ancilla_dim=anc,
         measurement_basis=np.eye(anc, dtype=complex),
         conditional_unitaries=tuple(conditionals),
-        basis=b,
+        basis=basis if basis is not None else Basis.computational(d),
     )
 
 
@@ -369,7 +375,7 @@ def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
         for c in cols:
             v = v - c * np.vdot(c, v)
         norm = np.linalg.norm(v)
-        if norm > 1e-10:
+        if norm > GRAM_SCHMIDT_CUTOFF:
             cols.append(v / norm)
         if len(cols) == n:
             break
@@ -388,8 +394,8 @@ def dilation_apply(spec: DilationSpec, rho: np.ndarray) -> list[np.ndarray]:
     total = (u @ start.reshape(d * anc, d * anc) @ dagger(u)).reshape(d, anc, d, anc)
     phi = spec.measurement_basis[:, : len(spec.conditional_unitaries)]
     selected = np.einsum("am,iajb,bm->mij", phi.conj(), total, phi)
-    w = b.columns @ np.array(spec.conditional_unitaries)
-    return list(w @ selected @ dagger(w))
+    v = np.array(spec.conditional_unitaries)
+    return list(b.from_coords(v @ selected @ dagger(v)))
 
 
 def dilation_verify(spec: DilationSpec, channel: KrausChannel, n_states: int = 20, seed: int = 0) -> float:
@@ -410,10 +416,10 @@ def dilation_verify(spec: DilationSpec, channel: KrausChannel, n_states: int = 2
 
 def rel_ent_coherence(rho: np.ndarray, basis: Basis | None = None) -> float:
     """Relative entropy of coherence S(Phi(rho)) - S(rho), in bits."""
-    return entropy(dephase(rho, basis)) - entropy(rho)
+    r = np.asarray(rho, dtype=complex) if basis is None else basis.to_coords(rho)
+    return entropy(dephase(r)) - entropy(r)
 
 
-CF_GAP_TOL = 1e-10
 CF_MAX_ITER = 5000
 
 
@@ -433,7 +439,8 @@ def fidelity_coherence_report(rho: np.ndarray, basis: Basis | None = None) -> di
     returned at once with a zero gap.
 
     Returns ``value`` (the best 1 - F found), ``lower_bound``, ``gap``,
-    ``iterations`` and ``converged`` (gap <= 1e-10 within the iteration cap).
+    ``iterations`` and ``converged`` (gap <= CF_GAP_TOL within the iteration
+    cap).
     """
     r = np.asarray(rho, dtype=complex) if basis is None else basis.to_coords(rho)
     # Zero populations come out of a basis change as +-1e-17, and states
@@ -480,7 +487,7 @@ def fidelity_coherence(
     """Fidelity measure of coherence, the ``value`` of
     ``fidelity_coherence_report``: an upper bound on min over incoherent
     sigma of 1 - F(rho, sigma), certified to lie within its reported gap
-    (<= 1e-10 when converged) of the true minimum.
+    (<= CF_GAP_TOL when converged) of the true minimum.
 
     ``restarts`` and ``seed`` do nothing: the problem is concave in the
     diagonal weights, so one deterministic start suffices.  They are kept so
@@ -492,12 +499,13 @@ def fidelity_coherence(
 def coherence_measures(rho: np.ndarray, basis: Basis | None = None, seed: int = 0) -> dict:
     """All single-system coherence measures: relative entropy C, the dephased
     distances C'_tr and C'_f, and the optimized fidelity measure C_f."""
-    phi = dephase(rho, basis)
+    r = np.asarray(rho, dtype=complex) if basis is None else basis.to_coords(rho)
+    phi = dephase(r)
     return {
-        "C": rel_ent_coherence(rho, basis),
-        "C_tr": trace_distance(rho, phi),
-        "C_f_dephased": 1.0 - min(1.0, fidelity(rho, phi)),
-        "C_f": fidelity_coherence(rho, basis, seed=seed),
+        "C": rel_ent_coherence(r),
+        "C_tr": trace_distance(r, phi),
+        "C_f_dephased": 1.0 - min(1.0, fidelity(r, phi)),
+        "C_f": fidelity_coherence(r, seed=seed),
     }
 
 
@@ -511,17 +519,10 @@ def random_si_channel(
     rng = stream(seed, 23, d, n_kraus, index)
     coeff = rng.normal(size=(n_kraus, d)) + 1j * rng.normal(size=(n_kraus, d))
     coeff /= np.linalg.norm(coeff, axis=0, keepdims=True)
-    ops = []
+    ops = np.zeros((n_kraus, d, d), dtype=complex)
     for mu in range(n_kraus):
-        perm = rng.permutation(d)
-        k = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            k[perm[i], i] = coeff[mu, i]
-        ops.append(k)
-    channel = KrausChannel(tuple(ops))
-    if basis is not None and not basis.is_computational():
-        channel = KrausChannel(basis.from_coords(channel.kraus))
-    return channel
+        ops[mu, rng.permutation(d), np.arange(d)] = coeff[mu]
+    return KrausChannel(ops if basis is None else basis.from_coords(ops))
 
 
 def random_gi_channel(d: int, n_kraus: int, seed: int = 0, index: int = 0) -> KrausChannel:
@@ -543,8 +544,6 @@ def random_incoherent_not_si_channel(d: int, seed: int = 0, index: int = 0) -> K
     rng = stream(seed, 31, d, index)
     i, j = sorted(rng.choice(d, size=2, replace=False))
     while True:
-        from .sampling import random_unitary
-
         u2 = random_unitary(2, rng)
         if np.min(np.abs(u2)) > 0.25:
             break

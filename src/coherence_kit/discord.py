@@ -15,18 +15,27 @@ from .channels import (
     ChannelError,
     KrausChannel,
     _local_branches,
+    _pad_kraus,
+    _unit_images,
     choi,
     compose,
     identity_channel,
     local_apply,
-    local_branches,
-    pad_trace_preserving,
-    unit_images,
     with_memory,
 )
-from .coherence import Basis, classify_channel, rel_ent_coherence
+from .coherence import Basis, classify_channel, classify_kraus, rel_ent_coherence
 from .linalg import (
+    DISCORD_IDENTITY_TOL,
+    EQUAL_STATE_TOL,
+    MEMORY_SLACK,
+    MONOTONE_SLACK,
+    NEGATIVE_DISCORD_TOL,
+    NEGLIGIBLE_P,
+    NOISE_FLOOR,
+    RECOVERY_GAP_TOL,
+    STRUCTURE_TOL,
     SUPPORT_CUTOFF,
+    TIE_RTOL,
     InvariantError,
     dagger,
     dephase_subsystem,
@@ -41,28 +50,12 @@ from .linalg import (
 )
 from .sampling import random_density_matrix, stream
 
-NEGLIGIBLE_P = 1e-12
-EQUAL_STATE_TOL = 1e-7
-WITNESS_TOL = 1e-8
-TIE_RTOL = 1e-12
 LN2 = math.log(2.0)
 
 
-def _dephase_a(rho: BipartiteState, basis: Basis | None = None) -> BipartiteState:
-    """Local dephasing of side A in the given basis."""
-    if basis is None or basis.is_computational():
-        out = dephase_subsystem(rho.state, rho.dims, 0)
-    else:
-        u = tensor_product(basis.columns, np.eye(rho.dim_b))
-        coords = dagger(u) @ rho.state @ u
-        out = u @ dephase_subsystem(coords, rho.dims, 0) @ dagger(u)
-    return BipartiteState(out, rho.dim_a, rho.dim_b)
-
-
-def _rotate_a(rho: BipartiteState, basis: Basis) -> BipartiteState:
-    """Coordinates of the state in which the A basis is computational."""
-    u = tensor_product(basis.columns, np.eye(rho.dim_b))
-    return BipartiteState(dagger(u) @ rho.state @ u, rho.dim_a, rho.dim_b)
+def _dephase_a(rho: BipartiteState) -> BipartiteState:
+    """Local dephasing of side A in the computational basis."""
+    return BipartiteState(dephase_subsystem(rho.state, rho.dims, 0), rho.dim_a, rho.dim_b)
 
 
 def mutual_information(rho: BipartiteState) -> float:
@@ -72,7 +65,9 @@ def mutual_information(rho: BipartiteState) -> float:
 
 def classical_correlations(rho: BipartiteState, basis: Basis | None = None) -> float:
     """Mutual information surviving dephasing of A: J(B|A) = I(A:B) after Phi_A."""
-    return mutual_information(_dephase_a(rho, basis))
+    if basis is not None:
+        rho = basis.to_coords_a(rho)
+    return mutual_information(_dephase_a(rho))
 
 
 @dataclass(frozen=True)
@@ -102,17 +97,20 @@ def basis_discord(rho: BipartiteState, basis: Basis | None = None) -> DiscordRep
     joint state, C(B|A) = S(Phi_A(rho)) - S(rho); the identity
     delta = C(B|A) - C(A) is asserted as a numerical cross-check.
     """
+    if basis is not None:
+        rho = basis.to_coords_a(rho)
+    dephased = _dephase_a(rho)
     i = mutual_information(rho)
-    j = classical_correlations(rho, basis)
+    j = mutual_information(dephased)
     delta = i - j
-    c_a = rel_ent_coherence(rho.marginal("A"), basis)
-    c_cond = entropy(_dephase_a(rho, basis).state) - entropy(rho.state)
-    if abs(delta - (c_cond - c_a)) > 1e-6:
+    c_a = rel_ent_coherence(rho.marginal("A"))
+    c_cond = entropy(dephased.state) - entropy(rho.state)
+    if abs(delta - (c_cond - c_a)) > DISCORD_IDENTITY_TOL:
         raise InvariantError(
             f"discord identity violated: I - J = {delta:.3e}, "
             f"C(B|A) - C(A) = {c_cond - c_a:.3e}"
         )
-    if delta < -1e-9:
+    if delta < -NEGATIVE_DISCORD_TOL:
         raise InvariantError(f"negative discord {delta:.3e}")
     return DiscordReport(i, j, delta, c_a, c_cond)
 
@@ -125,6 +123,11 @@ def petz_channel(rho_a: np.ndarray, projectors: list[np.ndarray] | None = None) 
     default); the kernel projector of sigma is appended so the channel is
     trace-preserving on the whole space.
     """
+    return KrausChannel(_petz_kraus(rho_a, projectors))
+
+
+def _petz_kraus(rho_a: np.ndarray, projectors: list[np.ndarray] | None = None) -> np.ndarray:
+    """Kraus stack of ``petz_channel``."""
     rho_a = np.asarray(rho_a, dtype=complex)
     d = rho_a.shape[0]
     if projectors is None:
@@ -132,7 +135,7 @@ def petz_channel(rho_a: np.ndarray, projectors: list[np.ndarray] | None = None) 
     sigma = sum(p @ rho_a @ p for p in projectors)
     root = matrix_function(rho_a, "sqrt")
     inv_root = matrix_function(sigma, "inv_sqrt")
-    return pad_trace_preserving(KrausChannel(tuple(root @ p @ inv_root for p in projectors)))
+    return _pad_kraus(np.array([root @ p @ inv_root for p in projectors]))
 
 
 def petz_recover(rho: BipartiteState, basis: Basis | None = None):
@@ -141,15 +144,14 @@ def petz_recover(rho: BipartiteState, basis: Basis | None = None):
     Returns (channel acting on A, R_A(Phi_A(rho))).  When the basis discord
     vanishes the recovered state equals the input.
     """
-    work = rho if basis is None or basis.is_computational() else _rotate_a(rho, basis)
-    channel = petz_channel(work.marginal("A"))
-    recovered = local_apply(channel, _dephase_a(work), "A")
-    if basis is not None and not basis.is_computational():
-        u = basis.columns
-        channel = KrausChannel(basis.from_coords(channel.kraus))
-        ub = tensor_product(u, np.eye(rho.dim_b))
-        recovered = BipartiteState(ub @ recovered.state @ dagger(ub), rho.dim_a, rho.dim_b)
-    return channel, recovered
+    work = rho if basis is None else basis.to_coords_a(rho)
+    ops = _petz_kraus(work.marginal("A"))
+    recovered = BipartiteState(
+        _local_branches(ops, _dephase_a(work).state, work.dims, "A").sum(axis=0), rho.dim_a, rho.dim_b
+    )
+    if basis is None:
+        return KrausChannel(ops), recovered
+    return KrausChannel(basis.from_coords(ops)), basis.from_coords_a(recovered)
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ def zero_discord_decompose(
     carry a product state.  The residual is the trace distance between the
     input and the reconstruction; success means residual <= tol.
     """
-    work = rho if basis is None or basis.is_computational() else _rotate_a(rho, basis)
+    work = rho if basis is None else basis.to_coords_a(rho)
     da, db = work.dims
     mat = work.state
 
@@ -203,31 +205,21 @@ def zero_discord_decompose(
 
     blocks = []
     for members in groups.values():
-        idx = np.array(
-            [i * db + b for i in members for b in range(db)], dtype=int
-        )
+        idx = np.array([i * db + b for i in members for b in range(db)], dtype=int)
         sub = mat[np.ix_(idx, idx)]
         p = float(np.real(np.trace(sub)))
         if p <= NEGLIGIBLE_P:
             continue
         sub_state = sub / p
         n = len(members)
-        a_part = partial_trace(sub_state, (n, db), "A")
-        b_part = partial_trace(sub_state, (n, db), "B")
         a_full = np.zeros((da, da), dtype=complex)
-        for r, i in enumerate(members):
-            for c, j in enumerate(members):
-                a_full[i, j] = a_part[r, c]
-        blocks.append((p, a_full, b_part, frozenset(members)))
+        a_full[np.ix_(members, members)] = partial_trace(sub_state, (n, db), "A")
+        blocks.append((p, a_full, partial_trace(sub_state, (n, db), "B"), frozenset(members)))
 
-    decomp = ZeroDiscordDecomposition(False, tuple(blocks), 0.0)
-    residual = trace_distance(mat, decomp.reconstruct(da, db))
-    success = residual <= tol
-    out_blocks = decomp.blocks
-    if basis is not None and not basis.is_computational():
-        u = basis.columns
-        out_blocks = tuple((p, u @ a @ dagger(u), b, s) for p, a, b, s in out_blocks)
-    return ZeroDiscordDecomposition(success, out_blocks, residual)
+    residual = trace_distance(mat, ZeroDiscordDecomposition(False, tuple(blocks), 0.0).reconstruct(da, db))
+    if basis is not None:
+        blocks = [(p, basis.from_coords(a), b, s) for p, a, b, s in blocks]
+    return ZeroDiscordDecomposition(residual <= tol, tuple(blocks), residual)
 
 
 def random_zero_discord_state(
@@ -244,9 +236,7 @@ def random_zero_discord_state(
     for w, members in zip(weights, groups):
         small = random_density_matrix(len(members), rng)
         a_full = np.zeros((dim_a, dim_a), dtype=complex)
-        for r, i in enumerate(members):
-            for c, j in enumerate(members):
-                a_full[i, j] = small[r, c]
+        a_full[np.ix_(members, members)] = small
         out += w * tensor_product(a_full, random_density_matrix(dim_b, rng))
     return BipartiteState(out, dim_a, dim_b)
 
@@ -283,26 +273,28 @@ def ensemble_monotonicity_trial(
     """Outcome-averaged measure after an SI channel on A versus before.
 
     lhs = sum_mu p_mu M(rho^mu), rhs = M(rho), with M = J or delta taken
-    per Kraus outcome; passes when lhs <= rhs + 1e-8.
+    per Kraus outcome; passes when lhs <= rhs + MONOTONE_SLACK.
     """
     if kind not in ("J", "delta"):
         raise ValueError(f"kind must be 'J' or 'delta', got {kind!r}")
-    report = classify_channel(channel, basis)
-    if not report.strictly_incoherent or not channel.trace_preserving:
+    kraus = channel.kraus if basis is None else basis.to_coords(channel.kraus)
+    if not channel.trace_preserving or not all(classify_kraus(k).strictly_incoherent for k in kraus):
         raise ChannelError("ensemble monotonicity needs a trace-preserving SI channel")
+    if basis is not None:
+        rho = basis.to_coords_a(rho)
 
     def measure(state: BipartiteState) -> float:
-        rep = basis_discord(state, basis)
+        rep = basis_discord(state)
         return rep.classical_correlations if kind == "J" else rep.basis_discord
 
     rhs = measure(rho)
     lhs = 0.0
-    for out in local_branches(channel, rho, "A"):
+    for out in _local_branches(kraus, rho.state, rho.dims, "A"):
         p = float(np.real(np.trace(out)))
         if p <= NEGLIGIBLE_P:
             continue
         lhs += p * measure(BipartiteState(out / p, rho.dim_a, rho.dim_b))
-    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + 1e-8}
+    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + MONOTONE_SLACK}
 
 
 def j_increase_witness(channel: KrausChannel, basis: Basis | None = None):
@@ -312,20 +304,18 @@ def j_increase_witness(channel: KrausChannel, basis: Basis | None = None):
     tau_kk (all in basis coordinates), then pairs |phi> = (|i> + e^{i phi}|j>)
     /sqrt(2) with a qubit flag so that J is zero before the channel and
     positive after.  The witness is the first (i, j, k) in row-major order
-    whose |tau_kk| is within a relative 1e-12 of the largest, so exact ties
+    whose |tau_kk| is within a relative TIE_RTOL of the largest, so exact ties
     (mirror pairs, equal overlaps) do not fall to float noise.  Raises when
-    no such element exists (the channel commutes with dephasing).
+    no such element exists (the channel commutes with dephasing).  The
+    witness state is returned in the caller's coordinates.
     """
     d = channel.dim_in
-    if basis is None or basis.is_computational():
-        diag = np.einsum("ijkk->ijk", unit_images(channel))
-    else:
-        cols = basis.columns
-        diag = np.einsum("ak,ijab,bk->ijk", cols.conj(), unit_images(channel, cols), cols)
+    kraus = channel.kraus if basis is None else basis.to_coords(channel.kraus)
+    diag = np.einsum("ijkk->ijk", _unit_images(kraus))
     mag = np.abs(diag)
     mag[np.arange(d), np.arange(d)] = 0.0
     top = float(mag.max())
-    if top <= WITNESS_TOL:
+    if top <= STRUCTURE_TOL:
         raise ChannelError("no dephasing-commutation violation: channel looks SI")
     i, j, k = np.unravel_index(np.argmax(mag >= top * (1.0 - TIE_RTOL)), mag.shape)
     tkk = diag[i, j, k]
@@ -335,16 +325,14 @@ def j_increase_witness(channel: KrausChannel, basis: Basis | None = None):
         projector(ket(i, d)) + projector(ket(j, d)), projector(ket(1, 2))
     )
     state = BipartiteState(mat, d, 2)
-    if basis is not None and not basis.is_computational():
-        u = tensor_product(basis.columns, np.eye(2))
-        state = BipartiteState(u @ state.state @ dagger(u), d, 2)
-    j_before = classical_correlations(state, basis)
-    after = local_apply(channel, state, "A")
-    j_after = classical_correlations(after, basis)
+    j_before = classical_correlations(state)
+    after = BipartiteState(_local_branches(kraus, mat, (d, 2), "A").sum(axis=0), channel.dim_out, 2)
+    j_after = classical_correlations(after)
+    if basis is not None:
+        state = basis.from_coords_a(state)
     return state, phi, j_before, j_after
 
 
-RECOVERY_GAP_TOL = 1e-8
 CERTIFY_EVERY = 10
 # Trace metric: Z's dual step is this many times Y's, within the PDHG step rule.
 Z_STEP_WEIGHT = 30.0
@@ -441,7 +429,7 @@ class _RecoveryProblem:
             return 0.5 * float(np.real(np.vdot(z, self.rho))), -0.5 * z
         if self.metric == "one_minus_fidelity":
             a, v = np.linalg.eigh(self.root @ x @ self.root)
-            a = np.maximum(a, 64.0 * np.finfo(float).eps * max(1.0, float(a[-1])))
+            a = np.maximum(a, NOISE_FLOOR * max(1.0, float(a[-1])))
             in_support = np.real(np.einsum("ik,ij,jk->k", v.conj(), self.support, v))
             w = self.root @ ((v / np.sqrt(a)) @ dagger(v)) @ self.root
             return 1.0 - 0.5 * float(np.sum(np.sqrt(a) * in_support)), -0.5 * w
@@ -464,7 +452,7 @@ class _RecoveryProblem:
         less the rounding of its terms, so that it holds in floating point."""
         lam = np.linalg.eigvalsh(self.adjoint(g) - self.lift(y))
         trace_y = float(np.real(np.trace(y)))
-        slack = 64.0 * np.finfo(float).eps * (abs(c) + abs(trace_y) + self.da * max(-lam[0], lam[-1]))
+        slack = NOISE_FLOOR * (abs(c) + abs(trace_y) + self.da * max(-lam[0], lam[-1]))
         return c + trace_y + self.da * float(lam[0]) - slack
 
 
@@ -566,14 +554,14 @@ def recoverability(
     the fixed candidates only (``lower_bound`` 0, ``optimized`` false);
     ``budget >= 1`` runs one solve of at most ``maxiter`` iterations
     (``iterations`` says how many).  ``converged`` means the solve stopped
-    with value - lower_bound <= 1e-8; a run that hits ``maxiter`` reports
-    false with its wider bound.  ``seed`` is accepted and unused: the
-    solver is deterministic.  ``channel`` is the best recovery as Kraus
-    operators (from the eigendecomposition of J, made exactly
-    trace-preserving), scored by the local-action kernel like every
-    candidate.
+    with value - lower_bound <= RECOVERY_GAP_TOL; a run that hits
+    ``maxiter`` reports false with its wider bound.  ``seed`` is accepted
+    and unused: the solver is deterministic.  ``channel`` is the best
+    recovery as Kraus operators (from the eigendecomposition of J, made
+    exactly trace-preserving), scored by the local-action kernel like every
+    candidate, and returned in the caller's coordinates.
     """
-    work = rho if basis is None or basis.is_computational() else _rotate_a(rho, basis)
+    work = rho if basis is None else basis.to_coords_a(rho)
     da, db = work.dims
     sigma, petz = _recovery_setup(work, dephase_dims)
     target = work.state
@@ -583,12 +571,11 @@ def recoverability(
         return distance(metric, target, recovered)
 
     petz_value = value_ops(petz.kraus)
-    best_value = petz_value
-    best_channel = petz
+    best_value, best_ops = petz_value, petz.kraus
     for cand in (identity_channel(da),) + tuple(extra_candidates):
         v = value_ops(cand.kraus)
         if v < best_value:
-            best_value, best_channel = v, cand
+            best_value, best_ops = v, cand.kraus
 
     lower_bound, iterations, converged = 0.0, 0, False
     if budget > 0:
@@ -603,16 +590,14 @@ def recoverability(
             ops = _kraus_from_choi(j, da)
             v = value_ops(ops)
             if v < best_value:
-                best_value, best_channel = v, KrausChannel(ops)
+                best_value, best_ops = v, ops
 
-    if basis is not None and not basis.is_computational():
-        best_channel = KrausChannel(basis.from_coords(best_channel.kraus))
     value = max(0.0, best_value)
     return {
         "value": value,
         "lower_bound": min(max(0.0, lower_bound), value),
         "petz_value": petz_value,
-        "channel": best_channel,
+        "channel": KrausChannel(best_ops if basis is None else basis.from_coords(best_ops)),
         "iterations": iterations,
         "optimized": budget > 0,
         "converged": converged,
@@ -666,7 +651,7 @@ def memory_monotonicity_trial(
     recovery that replays the best pre-channel recovery after unpermuting
     the recorded outcome is always offered as a candidate, so after <= before
     holds up to rounding for any pre-channel recovery; the trial passes when
-    after <= before + 1e-4.  ``seed`` is passed on and unused.
+    after <= before + MEMORY_SLACK.  ``seed`` is passed on and unused.
     """
     before = recoverability(rho, metric=metric, budget=budget, seed=seed)
     mem = with_memory(channel)
@@ -684,5 +669,5 @@ def memory_monotonicity_trial(
     return {
         "before": before["value"],
         "after": after["value"],
-        "pass": after["value"] <= before["value"] + 1e-4,
+        "pass": after["value"] <= before["value"] + MEMORY_SLACK,
     }

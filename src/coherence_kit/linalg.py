@@ -1,10 +1,49 @@
-"""Dense complex linear algebra and entropic functionals.
+"""Dense complex linear algebra, entropic functionals, and the tolerance table.
 
 All quantum objects are plain ``numpy`` arrays of ``complex``.  Logarithms
 are base 2 throughout, so every entropy-like quantity is in bits.
 
-Tolerance ladder used across the package: 1e-12 for constructions,
-1e-10 for state/channel validation, 1e-8 for derived-quantity comparisons.
+Tolerances.  Every tolerance the library decides with is one constant below,
+imported from here by the other modules.  "<=" and ">" say on which side a
+value exactly at the tolerance falls.
+
+=====================  ======  =====================================================================
+Name                   Value   Decision
+=====================  ======  =====================================================================
+VALIDATION_TOL         1e-10   Valid input: a density matrix with max|rho - rho^dag|, |tr rho - 1|
+                               and -lambda_min <= it; a Kraus set with lambda_max(sum K^dag K - I)
+                               <= it, trace preserving (nothing to pad) when max|sum K^dag K - I|
+                               <= it; a basis with max|C^dag C - I| <= it.
+SPECTRAL_TOL           1e-8    The eigensolver accepts max|M - M^dag| <= it; ``matrix_function``
+                               rejects lambda_min < -it.
+SUPPORT_CUTOFF         1e-12   An eigenvalue <= it is kernel: dropped from entropies, 0 under log2
+                               and inv_sqrt; in recovery a singular Tr_out J and the tangent floor.
+LEAK_TOL               1e-10   Relative entropy is inf when rho's weight on sigma's kernel is > it.
+NOISE_FLOOR            64 eps  An eigenvalue <= it * max(1, lambda_max) is zero in the fidelity;
+                               also the floor and rounding slack of the recovery certificate.
+NEGLIGIBLE_P           1e-12   A branch or block of probability <= it is dropped.
+STRUCTURE_TOL          1e-8    A Kraus entry is significant when > it * the largest; a channel
+                               commutes with dephasing (so has no J witness) when its deviation
+                               is <= it.
+COVARIANCE_TOL         1e-8    Covariant when the shifts a_i - a_j spread by <= it; an observable
+                               is nondegenerate when its closest levels differ by > it.
+TIE_RTOL               1e-12   J-witness entries within this relative distance of the largest tie.
+GRAM_SCHMIDT_CUTOFF    1e-10   Unitary completion drops a candidate of residual norm <= it.
+CP_SLACK               1e-12   ``depolarizing_channel`` accepts p up to it outside ``p_range``.
+DEPOL_TOL              1e-8    Default tol: depolarizing and isotropic fits pass with a residual
+                               <= it (``is_unital``: < it); the falsifier needs a deviation > it.
+PHASE_ANCHOR_TOL       1e-8    ``isotropic_decompose`` fixes the phase on the first entry > it.
+ISOTROPIC_ACTION_TOL   1e-7    ``isotropic_decompose`` accepts an action residual <= max(tol, it).
+ISOTROPIC_UNITARY_TOL  1e-6    ``isotropic_decompose`` rejects a polar factor off unitary by > it.
+CF_GAP_TOL             1e-10   C_f converged: its certified gap is <= it.
+RECOVERY_GAP_TOL       1e-8    Recoverability converged: value - lower_bound is <= it.
+EQUAL_STATE_TOL        1e-7    Zero-discord split: A indices link through a B-block entry > it;
+                               success when the residual is <= it.
+NEGATIVE_DISCORD_TOL   1e-9    Invariant: delta < -it raises.
+DISCORD_IDENTITY_TOL   1e-6    Invariant: |(I - J) - (C(B|A) - C(A))| > it raises.
+MONOTONE_SLACK         1e-8    The ensemble trial passes when lhs <= rhs + it.
+MEMORY_SLACK           1e-4    The memory trial passes when after <= before + it.
+=====================  ======  =====================================================================
 """
 
 from __future__ import annotations
@@ -13,10 +52,28 @@ import math
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-10
-EIGENVALUE_TOL = 1e-10
-TRACE_TOL = 1e-10
+VALIDATION_TOL = 1e-10
+SPECTRAL_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-12
+LEAK_TOL = 1e-10
+NOISE_FLOOR = 64.0 * np.finfo(float).eps
+NEGLIGIBLE_P = 1e-12
+STRUCTURE_TOL = 1e-8
+COVARIANCE_TOL = 1e-8
+TIE_RTOL = 1e-12
+GRAM_SCHMIDT_CUTOFF = 1e-10
+CP_SLACK = 1e-12
+DEPOL_TOL = 1e-8
+PHASE_ANCHOR_TOL = 1e-8
+ISOTROPIC_ACTION_TOL = 1e-7
+ISOTROPIC_UNITARY_TOL = 1e-6
+CF_GAP_TOL = 1e-10
+RECOVERY_GAP_TOL = 1e-8
+EQUAL_STATE_TOL = 1e-7
+NEGATIVE_DISCORD_TOL = 1e-9
+DISCORD_IDENTITY_TOL = 1e-6
+MONOTONE_SLACK = 1e-8
+MEMORY_SLACK = 1e-4
 
 
 class DimensionError(ValueError):
@@ -57,7 +114,7 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def assert_hermitian(m: np.ndarray, tol: float = 1e-8) -> None:
+def assert_hermitian(m: np.ndarray, tol: float = SPECTRAL_TOL) -> None:
     if not np.all(np.isfinite(m)):
         raise NotHermitianError("matrix has a non-finite entry")
     dev = np.max(np.abs(m - dagger(m)))
@@ -65,7 +122,7 @@ def assert_hermitian(m: np.ndarray, tol: float = 1e-8) -> None:
         raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} > {tol:.1e}")
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+def validate_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> None:
     """Check Hermiticity, positivity and unit trace of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -79,11 +136,11 @@ def validate_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None
     if abs(tr - 1.0) > tol:
         raise InvalidStateError(f"trace {tr} not 1 within {tol:.1e}")
     lam = eigvals_hermitian(rho)
-    if lam[0] < -EIGENVALUE_TOL:
+    if lam[0] < -VALIDATION_TOL:
         raise InvalidStateError(f"negative eigenvalue {lam[0]:.3e}")
 
 
-def is_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
     try:
         validate_density_matrix(rho, tol)
     except InvalidStateError:
@@ -109,7 +166,7 @@ def partial_trace(mat: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def eig_hermitian(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m: np.ndarray, tol: float = SPECTRAL_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a complex Hermitian matrix (LAPACK ``eigh``).
 
     Raises NotHermitianError when ``max |M - M^dag| > tol``; otherwise the
@@ -122,7 +179,7 @@ def eig_hermitian(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     return lam[::-1], v[:, ::-1]
 
 
-def eigvals_hermitian(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def eigvals_hermitian(m: np.ndarray, tol: float = SPECTRAL_TOL) -> np.ndarray:
     """Eigenvalues only, in ascending order (LAPACK ``eigvalsh``).
 
     Same Hermiticity check and symmetrisation as eig_hermitian.
@@ -136,10 +193,10 @@ def matrix_function(m: np.ndarray, kind: str) -> np.ndarray:
     """Apply sqrt, log2 or inv_sqrt to a Hermitian PSD matrix spectrally.
 
     For log2 and inv_sqrt the function acts on the support only
-    (eigenvalues > 1e-12); the kernel is mapped to zero.
+    (eigenvalues above SUPPORT_CUTOFF); the kernel is mapped to zero.
     """
     lam, v = eig_hermitian(m)
-    if lam[-1] < -1e-8:
+    if lam[-1] < -SPECTRAL_TOL:
         raise ValueError(f"matrix not PSD: eigenvalue {lam[-1]:.3e}")
     lam = np.clip(lam, 0.0, None)
     out = np.zeros_like(lam)
@@ -162,17 +219,11 @@ def entropy(rho: np.ndarray) -> float:
     return float(-np.sum(lam * np.log2(lam)))
 
 
-def shannon_entropy(p) -> float:
-    p = np.asarray(p, dtype=float)
-    p = p[p > SUPPORT_CUTOFF]
-    return float(-np.sum(p * np.log2(p)))
-
-
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Quantum relative entropy S(rho || sigma) in bits.
 
     Returns ``math.inf`` when the support of rho leaks into the kernel
-    of sigma by more than 1e-10.
+    of sigma by more than LEAK_TOL.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -183,7 +234,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     if np.any(kernel):
         pk = svec[:, kernel]
         overlap = float(np.real(np.trace(dagger(pk) @ rho @ pk)))
-        if overlap > 1e-10:
+        if overlap > LEAK_TOL:
             return math.inf
     support = ~kernel
     diag_in_sigma = np.real(np.einsum("ia,ij,ja->a", svec.conj(), rho, svec))
@@ -216,7 +267,7 @@ def above_noise_floor(lam: np.ndarray) -> np.ndarray:
     Eigenvalues at the float noise floor of the spectrum are zero: their
     square roots (~1e-8) would otherwise inflate the fidelity.
     """
-    return lam > 64.0 * np.finfo(float).eps * max(1.0, float(lam.max()))
+    return lam > NOISE_FLOOR * max(1.0, float(lam.max()))
 
 
 METRICS = ("trace", "one_minus_fidelity", "rel_ent")

@@ -7,12 +7,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelError, KrausChannel, apply, choi, unit_images
-from .coherence import Basis, dephasing_commutant_deviation
-from .linalg import dagger, eig_hermitian, ket
+from .channels import ChannelError, KrausChannel, apply, choi, dephasing_channel, identity_channel, unit_images
+from .coherence import Basis, dephasing_commutant_deviation, random_gi_channel, random_si_channel
+from .discord import mixing_permutation_channel
+from .linalg import (
+    CP_SLACK,
+    DEPOL_TOL,
+    ISOTROPIC_ACTION_TOL,
+    ISOTROPIC_UNITARY_TOL,
+    PHASE_ANCHOR_TOL,
+    dagger,
+    eig_hermitian,
+    matrix_function,
+)
 from .sampling import random_unitary, stream
-
-DEPOL_TOL = 1e-8
 
 
 def weyl_operator(k: int, l: int, d: int) -> np.ndarray:
@@ -51,10 +59,10 @@ def depolarizing_channel(d: int, p: float, basis: Basis | None = None) -> KrausC
 
     The Kraus set {kappa_kl L_kl} is strictly incoherent in the given basis
     (and, with suitable representations, in every basis); p must lie in the
-    complete-positivity range.
+    complete-positivity range (within CP_SLACK).
     """
     lo, hi = p_range(d)
-    if p < lo - 1e-12 or p > hi + 1e-12:
+    if p < lo - CP_SLACK or p > hi + CP_SLACK:
         raise ChannelError(f"p={p} outside CP range [{lo}, {hi}]")
     ops = []
     for k in range(d):
@@ -64,10 +72,8 @@ def depolarizing_channel(d: int, p: float, basis: Basis | None = None) -> KrausC
             else:
                 kappa = np.sqrt(max(0.0, 1 - p)) / d
             ops.append(kappa * weyl_operator(k, l, d))
-    channel = KrausChannel(tuple(ops))
-    if basis is not None and not basis.is_computational():
-        channel = KrausChannel(basis.from_coords(channel.kraus))
-    return channel
+    ops = np.array(ops)
+    return KrausChannel(ops if basis is None else basis.from_coords(ops))
 
 
 def is_depolarizing(channel: KrausChannel, tol: float = DEPOL_TOL) -> float | None:
@@ -151,19 +157,17 @@ def isotropic_decompose(channel: KrausChannel, tol: float = DEPOL_TOL):
     # Polar step: the eigenvector of an isotropic channel is U/sqrt(d) exactly,
     # so sqrt(d) v is unitary up to numerical noise; re-unitarize via QR-free
     # projection using the matrix square root of v v^dag.
-    from .linalg import matrix_function
-
     vv = v @ dagger(v)
     u = matrix_function(vv, "inv_sqrt") @ v
     flat = u.reshape(-1)
-    first = flat[np.argmax(np.abs(flat) > 1e-8)]
+    first = flat[np.argmax(np.abs(flat) > PHASE_ANCHOR_TOL)]
     u = u * (np.conj(first) / abs(first))
-    if np.max(np.abs(dagger(u) @ u - np.eye(d))) > 1e-6:
+    if np.max(np.abs(dagger(u) @ u - np.eye(d))) > ISOTROPIC_UNITARY_TOL:
         return None
     # Verify the claimed action on all matrix units |i><j|.
     expect = p * np.einsum("ai,bj->ijab", u, u.conj())
     expect[np.arange(d), np.arange(d)] += (1.0 - p) / d * np.eye(d)
-    if np.max(np.abs(unit_images(channel) - expect)) > max(tol, 1e-7):
+    if np.max(np.abs(unit_images(channel) - expect)) > max(tol, ISOTROPIC_ACTION_TOL):
         return None
     return u, p
 
@@ -177,8 +181,6 @@ def isotropic_channel(u: np.ndarray, p: float) -> KrausChannel:
 
 def channel_zoo(seed: int = 0) -> dict[str, KrausChannel]:
     """Named menagerie of ~50 channels exercising every classification branch."""
-    from .coherence import random_si_channel
-
     zoo: dict[str, KrausChannel] = {}
     idx = 0
     for d in (2, 3, 4):
@@ -196,15 +198,11 @@ def channel_zoo(seed: int = 0) -> dict[str, KrausChannel]:
     zoo["hadamard"] = KrausChannel((h,))
     zoo["isotropic-hadamard-p0.7"] = isotropic_channel(h, 0.7)
     for d in (2, 3):
-        zoo[f"dephasing-d{d}"] = KrausChannel(
-            tuple(np.outer(ket(i, d), ket(i, d)) for i in range(d))
-        )
+        zoo[f"dephasing-d{d}"] = dephasing_channel(d)
     for gamma in (0.3, 0.5, 0.9):
         k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
         k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
         zoo[f"amplitude-damping-{gamma}"] = KrausChannel((k0, k1))
-    from .discord import mixing_permutation_channel
-
     zoo["permutation-mix-qutrit"] = mixing_permutation_channel()
     for d in (2, 3):
         rng = stream(seed, 68, d)
@@ -213,27 +211,7 @@ def channel_zoo(seed: int = 0) -> dict[str, KrausChannel]:
     swap = np.eye(2, dtype=complex)[:, [1, 0]]
     zoo["bit-flip"] = KrausChannel((swap,))
     zoo["bit-flip-mix"] = KrausChannel((np.sqrt(0.6) * np.eye(2, dtype=complex), np.sqrt(0.4) * swap))
-    from .channels import identity_channel
-    from .coherence import random_gi_channel
-
     for d in (2, 3):
         zoo[f"identity-d{d}"] = identity_channel(d)
         zoo[f"gi-random-d{d}"] = random_gi_channel(d, 2, seed=seed)
     return zoo
-
-
-def zoo_manifest(seed: int = 0) -> list[dict]:
-    """JSON-friendly listing of the zoo with classification summaries."""
-    out = []
-    for name, ch in channel_zoo(seed).items():
-        p = is_depolarizing(ch)
-        out.append(
-            {
-                "name": name,
-                "dim": ch.dim_in,
-                "n_kraus": len(ch),
-                "depolarizing_p": p,
-                "unital": is_unital(ch),
-            }
-        )
-    return out

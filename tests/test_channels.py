@@ -4,17 +4,17 @@ import pytest
 from coherence_kit.channels import (
     BipartiteState,
     _local_branches,
+    _unit_images,
     ChannelError,
     KrausChannel,
     apply,
     choi,
-    classical_action,
     compose,
     dephasing_channel,
     identity_channel,
     local_apply,
+    local_branches,
     pad_trace_preserving,
-    selected_outcome,
     unit_images,
     unitary_channel,
     with_memory,
@@ -39,18 +39,21 @@ def test_apply_dephasing_kills_offdiagonals():
     np.testing.assert_allclose(out, np.eye(3) / 3, atol=1e-12)
 
 
-def test_selected_outcome_probabilities_sum_to_one():
+def _branch_probabilities(channel, rho):
+    """Trace of each side-A branch of ``channel`` on rho x I/2."""
+    b = np.eye(2, dtype=complex) / 2
+    state = BipartiteState(tensor_product(rho, b), channel.dim_in, 2)
+    return np.real(np.trace(local_branches(channel, state, "A"), axis1=1, axis2=2))
+
+
+def test_local_branch_probabilities_sum_to_one():
     rng = stream(31, 0)
     rho = random_density_matrix(2, rng)
-    ch = dephasing_channel(2)
-    total = sum(selected_outcome(ch, mu, rho)[0] for mu in range(len(ch)))
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_selected_outcome_negligible_branch():
-    ch = dephasing_channel(2)
-    p, state = selected_outcome(ch, 1, np.diag([1.0, 0.0]).astype(complex))
-    assert p < 1e-12 and state is None
+    for ch in (dephasing_channel(2), unitary_channel(random_unitary(2, rng))):
+        assert _branch_probabilities(ch, rho).sum() == pytest.approx(1.0, abs=1e-12)
+    # A branch the state cannot reach has probability zero.
+    probs = _branch_probabilities(dephasing_channel(2), np.diag([1.0, 0.0]).astype(complex))
+    np.testing.assert_allclose(probs, [1.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_compose_matches_sequential_apply():
@@ -98,21 +101,13 @@ def test_with_memory_marginal_recovers_plain_action():
     )
     # Memory populations are the outcome probabilities.
     mem = partial_trace(big, (len(ch), 2), "A")
-    probs = [selected_outcome(ch, mu, rho)[0] for mu in range(len(ch))]
+    probs = [np.real(np.trace(k @ rho @ k.conj().T)) for k in ch.kraus]
     np.testing.assert_allclose(np.diag(mem).real, probs, atol=1e-12)
 
 
 def test_with_memory_requires_trace_preserving():
     with pytest.raises(ChannelError):
         with_memory(KrausChannel((np.eye(2) * 0.5,)))
-
-
-def test_classical_action_is_stochastic():
-    rng = stream(31, 5)
-    u = unitary_channel(random_unitary(3, rng))
-    t = classical_action(u)
-    np.testing.assert_allclose(t.sum(axis=0), np.ones(3), atol=1e-12)
-    assert np.all(t >= -1e-12)
 
 
 def test_pad_trace_preserving_completes_and_is_noop_when_tp():
@@ -163,14 +158,6 @@ def _ref_choi(kraus, d):
     return _ref_apply(big, np.outer(alpha, alpha.conj()))
 
 
-def _ref_classical(kraus, cols):
-    d = cols.shape[1]
-    return np.array(
-        [[np.real(cols[:, i].conj() @ _ref_apply(kraus, np.outer(cols[:, j], cols[:, j].conj())) @ cols[:, i])
-          for j in range(d)] for i in range(d)]
-    )
-
-
 def _ref_local(kraus, rho, dims, side):
     other = np.eye(dims[1] if side == "A" else dims[0])
     big = [tensor_product(k, other) if side == "A" else tensor_product(other, k) for k in kraus]
@@ -200,17 +187,10 @@ def test_batched_actions_match_loop_reference(case):
     rho = random_density_matrix(d, rng)
     np.testing.assert_allclose(apply(ch, rho), _ref_apply(ch.kraus, rho), rtol=0, atol=1e-12)
     np.testing.assert_allclose(choi(ch), _ref_choi(ch.kraus, d), rtol=0, atol=1e-12)
-    eye = np.eye(d, dtype=complex)
-    np.testing.assert_allclose(unit_images(ch), _ref_unit_images(ch.kraus, eye), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(unit_images(ch), _ref_unit_images(ch.kraus, np.eye(d)), rtol=0, atol=1e-12)
+    # The raw kernel on a stack with rotated inputs gives the images of E(|b_i><b_j|).
     cols = random_unitary(d, rng)
-    np.testing.assert_allclose(unit_images(ch, cols), _ref_unit_images(ch.kraus, cols), rtol=0, atol=1e-12)
-    if d == d_out:
-        np.testing.assert_allclose(classical_action(ch), _ref_classical(ch.kraus, eye), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(classical_action(ch, cols), _ref_classical(ch.kraus, cols), rtol=0, atol=1e-12)
-    else:
-        want = np.array([[np.real(_ref_apply(ch.kraus, np.outer(eye[j], eye[j]))[i, i]) for j in range(d)]
-                         for i in range(d_out)])
-        np.testing.assert_allclose(classical_action(ch), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_unit_images(ch.kraus @ cols), _ref_unit_images(ch.kraus, cols), rtol=0, atol=1e-12)
     for side, dims in (("A", (d, 2)), ("B", (3, d))):
         state = BipartiteState(random_density_matrix(dims[0] * dims[1], rng), *dims)
         out = local_apply(ch, state, side)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from coherence_kit.channels import KrausChannel
+from coherence_kit.channels import KrausChannel, identity_channel
 from coherence_kit.coherence import Basis
 from coherence_kit.discord import delta_creation_demo, zero_discord_example
 from coherence_kit.serialize import (
@@ -168,6 +168,15 @@ def test_cli_rejects_non_finite_input(tmp_path):
         assert res.returncode == 2
         assert res.stdout == ""
         assert "non-finite" in res.stderr
+
+
+def test_cli_classify_rejects_bad_tolerance(tmp_path):
+    path = write_json(tmp_path, "id.json", channel_to_json(identity_channel(2)))
+    for tol in ("nan", "inf", "-1"):
+        res = run_cli("classify", path, "--tol", tol)
+        assert res.returncode == 2, tol
+        assert res.stdout == ""
+        assert "tolerance" in res.stderr
 
 
 def test_cli_rejects_negative_trials():

@@ -21,7 +21,6 @@ from coherence_kit.linalg import (
     partial_trace,
     projector,
     relative_entropy,
-    shannon_entropy,
     tensor_product,
     trace_distance,
     validate_density_matrix,
@@ -34,6 +33,13 @@ from coherence_kit.sampling import (
     stream,
 )
 from coherence_kit.universal import depolarizing_channel
+
+
+def shannon_entropy(p) -> float:
+    """Shannon entropy in bits of a probability vector, with 0 log 0 = 0."""
+    p = np.asarray(p, dtype=float)
+    p = p[p > 1e-12]
+    return float(-np.sum(p * np.log2(p)))
 
 
 def random_hermitian(d, rng):
