@@ -8,7 +8,6 @@ of the same channel being incoherent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .linalg import (
     DimensionError,
     InvariantError,
     above_noise_floor,
+    check_tolerance,
     dagger,
     eigvals_hermitian,
     entropy,
@@ -117,8 +117,7 @@ def classify_kraus(k: np.ndarray, basis: Basis | None = None, tol: float = STRUC
     Incoherent: at most one significant entry per column.  SI: additionally
     at most one per row (subpermutation pattern).  GI: diagonal.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+    check_tolerance(tol)
     k = np.asarray(k, dtype=complex) if basis is None else basis.to_coords(k)
     if k.shape[0] != k.shape[1]:
         raise DimensionError("classification needs a square Kraus operator")

@@ -17,7 +17,7 @@ VALIDATION_TOL         1e-10   Valid input: a density matrix with max|rho - rho^
 SPECTRAL_TOL           1e-8    The eigensolver accepts max|M - M^dag| <= it; ``matrix_function``
                                rejects lambda_min < -it.
 SUPPORT_CUTOFF         1e-12   An eigenvalue <= it is kernel: dropped from entropies, 0 under log2
-                               and inv_sqrt; in recovery a singular Tr_out J and the tangent floor.
+                               and inv_sqrt; in recovery the support of rho and the tangent floor.
 LEAK_TOL               1e-10   Relative entropy is inf when rho's weight on sigma's kernel is > it.
 NOISE_FLOOR            64 eps  An eigenvalue <= it * max(1, lambda_max) is zero in the fidelity;
                                also the floor and rounding slack of the recovery certificate.
@@ -91,6 +91,14 @@ class InvalidStateError(ValueError):
 class InvariantError(AssertionError):
     """An internal identity of the numerics failed: a defect or a numerical
     breakdown, never bad input."""
+
+
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError for a caller's tolerance that is not finite or is
+    negative: NaN or inf would turn every comparison into a confident
+    wrong answer."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from .linalg import (
     ISOTROPIC_ACTION_TOL,
     ISOTROPIC_UNITARY_TOL,
     PHASE_ANCHOR_TOL,
+    check_tolerance,
     dagger,
     eig_hermitian,
     matrix_function,
@@ -82,6 +83,7 @@ def is_depolarizing(channel: KrausChannel, tol: float = DEPOL_TOL) -> float | No
     Fits the Choi matrix to a|alpha_00><alpha_00| + c(I - |a00><a00|)/1 and
     accepts when the residual is below tol.
     """
+    check_tolerance(tol)
     if channel.dim_in != channel.dim_out:
         return None
     d = channel.dim_in
@@ -101,6 +103,7 @@ def is_depolarizing(channel: KrausChannel, tol: float = DEPOL_TOL) -> float | No
 
 def is_unital(channel: KrausChannel, tol: float = DEPOL_TOL) -> bool:
     """Whether the maximally mixed state is a fixed point."""
+    check_tolerance(tol)
     d = channel.dim_in
     out = apply(channel, np.eye(d, dtype=complex) / d)
     return bool(np.max(np.abs(out - np.eye(d) / d)) < tol)
@@ -119,6 +122,7 @@ def every_basis_falsifier(
     Returns the first violating basis or None.  Finding none is evidence (not
     proof) of basis-independence; the exact criterion is ``is_depolarizing``.
     """
+    check_tolerance(tol)
     d = channel.dim_in
     for trial in range(n_bases):
         b = Basis(random_unitary(d, stream(seed, 61, d, trial)))
@@ -135,6 +139,7 @@ def isotropic_decompose(channel: KrausChannel, tol: float = DEPOL_TOL):
     the first nonzero entry is positive real.  Antiunitary-isotropic
     channels are not recognized and yield None.
     """
+    check_tolerance(tol)
     if channel.dim_in != channel.dim_out:
         return None
     d = channel.dim_in

@@ -202,7 +202,7 @@ LOCAL_KERNEL_CASES = {
     "A r=1": lambda rng: ("A", (2, 3), unitary_channel(random_unitary(2, rng))),
     "A r=d^2": lambda rng: ("A", (2, 2), _random_channel(2, 2, 4, rng)),
     "B r=d^2": lambda rng: ("B", (2, 3), _random_channel(3, 3, 9, rng)),
-    # A = memory x system, as recoverability(dephase_dims=(2, 2)) sees it.
+    # A = memory x system, as the memory trial's recorded-outcome state has it.
     "A memory d_A=4": lambda rng: ("A", (4, 2), _random_channel(4, 4, 3, rng)),
 }
 

@@ -12,12 +12,14 @@ from coherence_kit.channels import (
     ChannelError,
     KrausChannel,
     _local_branches,
-    choi,
     local_apply,
+    pad_trace_preserving,
     with_memory,
 )
 from coherence_kit.coherence import Basis, random_incoherent_not_si_channel, random_si_channel
 from coherence_kit.discord import (
+    _prepared_states,
+    _project_states,
     _RecoveryProblem,
     basis_discord,
     classical_correlations,
@@ -34,9 +36,11 @@ from coherence_kit.discord import (
 )
 from coherence_kit.linalg import (
     METRICS,
+    dagger,
     dephase_subsystem,
     distance,
     ket,
+    matrix_function,
     projector,
     relative_entropy,
     tensor_product,
@@ -167,6 +171,14 @@ def test_petz_fails_on_positive_discord():
 def test_petz_channel_is_trace_preserving():
     ch, _ = petz_recover(zero_discord_example())
     assert ch.trace_preserving
+
+
+def test_zero_discord_decompose_rejects_bad_tolerance():
+    rho = zero_discord_example()
+    assert zero_discord_decompose(rho).success
+    for tol in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="tolerance"):
+            zero_discord_decompose(rho, tol=tol)
 
 
 def test_zero_discord_decompose_example_blocks():
@@ -414,16 +426,13 @@ def _nelder_mead_recoverability(rho, metric, maxiter=2000):
     return min(float(res.fun), objective_ops(petz.kraus), objective_ops(np.eye(da)[None]))
 
 
-def _assert_certified(res, rho, metric, dephase_dims=None):
+def _assert_certified(res, rho, metric):
     """lower_bound <= value <= Petz value, a CPTP channel, and that channel,
     rescored by local action and the metric, reproduces the value."""
     assert res["lower_bound"] <= res["value"] <= max(0.0, res["petz_value"])
     channel = KrausChannel(res["channel"].kraus)
     assert channel.trace_preserving
-    if dephase_dims is None:
-        sigma = dephase_subsystem(rho.state, rho.dims, 0)
-    else:
-        sigma = dephase_subsystem(rho.state, (*dephase_dims, rho.dim_b), 1)
+    sigma = dephase_subsystem(rho.state, rho.dims, 0)
     recovered = local_apply(channel, BipartiteState(sigma, *rho.dims), "A")
     rescored = max(0.0, distance(metric, rho.state, recovered.state))
     assert rescored == pytest.approx(res["value"], rel=0, abs=1e-12)
@@ -447,9 +456,9 @@ def test_memory_trial_sides_certified():
         assert trial["pass"]
         assert trial["before"] <= _nelder_mead_recoverability(rho, "trace") + 1e-9
         extended = local_apply(with_memory(e), rho, "A")
-        after = recoverability(extended, budget=1, dephase_dims=(len(e), 2))
+        after = recoverability(extended, budget=1)
         assert after["optimized"] and after["iterations"] > 0
-        _assert_certified(after, extended, "trace", dephase_dims=(len(e), 2))
+        _assert_certified(after, extended, "trace")
 
 
 def _property_state(seed, kind):
@@ -494,10 +503,80 @@ def test_recoverability_starts_at_padded_petz_channel():
         for metric in METRICS:
             res = recoverability(rho, metric=metric, budget=1)
             problem = _RecoveryProblem(metric, mat, sigma, rho.dims)
-            start = distance(metric, mat, problem.link(rho.dim_a * choi(petz)))
+            start = distance(metric, mat, problem.link(_prepared_states(petz.kraus)))
             assert start == pytest.approx(res["petz_value"], rel=0, abs=1e-12)
             assert res["optimized"] and res["value"] <= res["petz_value"]
             _assert_certified(res, rho, metric)
+
+
+def _memory_trial_states(seed, count):
+    """(rho, SI channel, state after the channel with its outcome recorded) on 2 x 2."""
+    for t in range(count):
+        rng = stream(seed, t)
+        rho = BipartiteState(random_density_matrix(4, rng), 2, 2)
+        e = random_si_channel(2, int(rng.integers(2, 5)), seed=seed, index=t)
+        yield rho, e, local_apply(with_memory(e), rho, "A")
+
+
+def _random_kraus(d, rng):
+    """Kraus stack of a random CPTP channel on dimension d with d Kraus operators."""
+    g = rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d))
+    q, _ = np.linalg.qr(g)
+    return q.reshape(d, d, d)
+
+
+def test_recovery_link_is_local_action_on_prepared_states():
+    rng = stream(167, 0)
+    states = [BipartiteState(random_density_matrix(da * 2, rng), da, 2) for da in (2, 3, 4)]
+    states += [extended for _, _, extended in _memory_trial_states(167, 3)]
+    for rho in states:
+        sigma = dephase_subsystem(rho.state, rho.dims, 0)
+        problem = _RecoveryProblem("trace", rho.state, sigma, rho.dims)
+        kraus = _random_kraus(rho.dim_a, rng)
+        omega = _prepared_states(kraus)
+        want = _local_branches(kraus, sigma, rho.dims, "A").sum(axis=0)
+        np.testing.assert_allclose(problem.link(omega), want, rtol=0, atol=1e-14)
+        g = random_density_matrix(rho.dim_a * rho.dim_b, rng) - 0.3 * np.eye(rho.dim_a * rho.dim_b)
+        lhs = np.trace(g @ problem.link(omega))
+        rhs = np.einsum("iab,iba->", problem.adjoint(g), omega)
+        assert abs(lhs - rhs) <= 1e-13
+
+
+def test_project_states_is_the_nearest_stack_of_states():
+    rng = stream(173, 0)
+    for d in (2, 3, 4):
+        m = rng.normal(size=(d, d, d)) + 1j * rng.normal(size=(d, d, d))
+        m = m + dagger(m)
+        omega = _project_states(m)
+        for state in omega:
+            assert np.linalg.eigvalsh(state)[0] >= -1e-14 and abs(np.trace(state) - 1.0) <= 1e-14
+        # A stack of states is its own projection.
+        np.testing.assert_allclose(_project_states(omega), omega, rtol=0, atol=1e-13)
+        # Nearer to m than any other stack of states (first-order optimality).
+        for _ in range(20):
+            other = np.array([random_density_matrix(d, rng) for _ in range(d)])
+            assert np.real(np.vdot(m - omega, other - omega)) <= 1e-12
+
+
+def test_memory_register_is_already_dephased():
+    # with_memory records the outcome as a classical register, so dephasing
+    # only the system factor of A = memory x system equals dephasing all of A.
+    for _, e, extended in _memory_trial_states(179, 6):
+        m, d = len(e), e.dim_in
+        full = dephase_subsystem(extended.state, extended.dims, 0)
+        system_only = dephase_subsystem(extended.state, (m, d, extended.dim_b), 1)
+        assert np.array_equal(full, system_only)
+        # Petz channel for system-only dephasing: projectors I_m x |i><i|.
+        rho_a = extended.marginal("A")
+        projectors = [tensor_product(np.eye(m), projector(ket(i, d))) for i in range(d)]
+        dephased_a = sum(p @ rho_a @ p for p in projectors)
+        root, inv_root = matrix_function(rho_a, "sqrt"), matrix_function(dephased_a, "inv_sqrt")
+        petz = pad_trace_preserving(KrausChannel(tuple(root @ p @ inv_root for p in projectors)))
+        recovered = local_apply(petz, BipartiteState(system_only, *extended.dims), "A")
+        for metric in METRICS:
+            want = distance(metric, extended.state, recovered.state)
+            got = recoverability(extended, metric=metric, budget=0)["petz_value"]
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_memory_monotonicity_identity_channel():

@@ -220,3 +220,40 @@ def test_zoo_size_and_manifest():
     assert is_depolarizing(zoo["depolarizing-d2-p0.3000"]) == pytest.approx(0.3, abs=1e-9)
     assert is_depolarizing(zoo["hadamard"]) is None
     assert is_unital(zoo["amplitude-damping-0.5"]) is False
+
+
+BAD_TOLERANCES = (np.nan, np.inf, -np.inf, -1.0)
+
+
+def test_is_depolarizing_rejects_bad_tolerance():
+    zoo = channel_zoo()
+    assert is_depolarizing(zoo["amplitude-damping-0.5"]) is None
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match="tolerance"):
+            is_depolarizing(zoo["amplitude-damping-0.5"], tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            is_depolarizing(zoo["bit-flip"], tol=tol)
+
+
+def test_is_unital_rejects_bad_tolerance():
+    identity = channel_zoo()["identity-d2"]
+    assert is_unital(identity)
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match="tolerance"):
+            is_unital(identity, tol=tol)
+
+
+def test_every_basis_falsifier_rejects_bad_tolerance():
+    hadamard = channel_zoo()["hadamard"]
+    assert every_basis_falsifier(hadamard, n_bases=5) is not None
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match="tolerance"):
+            every_basis_falsifier(hadamard, n_bases=5, tol=tol)
+
+
+def test_isotropic_decompose_rejects_bad_tolerance():
+    channel = channel_zoo()["isotropic-hadamard-p0.7"]
+    assert isotropic_decompose(channel) is not None
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match="tolerance"):
+            isotropic_decompose(channel, tol=tol)
