@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 from scipy.optimize import minimize
 
+from coherence_kit import discord
 from coherence_kit.channels import (
     BipartiteState,
     ChannelError,
@@ -354,9 +355,9 @@ def test_recoverability_reports_optimizer_state():
     petz_only = recoverability(rho, budget=0)
     assert not petz_only["optimized"] and not petz_only["converged"]
     assert petz_only["iterations"] == 0 and petz_only["lower_bound"] == 0.0
-    capped = recoverability(rho, budget=1, maxiter=20)
+    capped = recoverability(rho, budget=1, maxiter=2)
     assert capped["optimized"] and not capped["converged"]
-    assert capped["iterations"] == 20 and capped["lower_bound"] < capped["value"]
+    assert capped["iterations"] == 2 and capped["lower_bound"] < capped["value"]
     settled = recoverability(rho, budget=1)
     assert settled["optimized"] and settled["converged"]
     assert settled["value"] - settled["lower_bound"] <= 1e-8
@@ -459,6 +460,54 @@ def test_memory_trial_sides_certified():
         after = recoverability(extended, budget=1)
         assert after["optimized"] and after["iterations"] > 0
         _assert_certified(after, extended, "trace")
+
+
+def test_trace_solve_converges_on_memory_trials_that_stopped_at_the_cap():
+    # Trials 2, 4, 17 and 18 of `suite recover-memory --seed 5`: the side
+    # after the channel, where the former first-order solve stopped at its
+    # 2000-iteration cap.
+    for t, dim_a in ((2, 6), (4, 6), (17, 4), (18, 4)):
+        rng = stream(5, 109, t)
+        rho = BipartiteState(random_density_matrix(4, rng), 2, 2)
+        e = random_si_channel(2, int(rng.integers(1, 4)), seed=5, index=t)
+        extended = local_apply(with_memory(e), rho, "A")
+        assert extended.dim_a == dim_a
+        res = recoverability(extended, budget=1)
+        assert res["converged"] and 0 < res["iterations"] <= 30
+        _assert_certified(res, extended, "trace")
+
+
+def test_trace_solve_ends_cleanly_where_the_gap_cannot_close(monkeypatch):
+    # With a gap tolerance of 0 the path runs until X or S is singular to
+    # working precision; the solve stops there, unconverged and certified.
+    monkeypatch.setattr(discord, "RECOVERY_GAP_TOL", 0.0)
+    for t in range(2):
+        rho = BipartiteState(random_density_matrix(6, stream(191, t)), 3, 2)
+        res = recoverability(rho, budget=1)
+        assert not res["converged"] and 0 < res["iterations"] < 100
+        assert res["value"] - res["lower_bound"] <= 1e-10
+        _assert_certified(res, rho, "trace")
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_zero_discord_states_are_certified_without_steps(metric):
+    # Every metric is >= 0, so an exact candidate closes the gap at once.
+    for dim_a in (2, 3):
+        for i in range(4):
+            rho = random_zero_discord_state(dim_a, 2, seed=181, index=i)
+            res = recoverability(rho, metric=metric, budget=1)
+            assert res["optimized"] and res["converged"] and res["iterations"] == 0
+            assert res["lower_bound"] == 0.0 and res["value"] <= 1e-8
+            _assert_certified(res, rho, metric)
+
+
+def test_petz_value_bounds_value_exactly_on_zero_discord_states():
+    # The relative entropy of an exact Petz recovery rounds to as low as
+    # -3e-15 (index 25 at d_A = 3); both values are reported no lower than 0.
+    for dim_a in (2, 3):
+        for i in range(30):
+            res = recoverability(random_zero_discord_state(dim_a, 2, seed=181, index=i), metric="rel_ent", budget=1)
+            assert 0.0 <= res["value"] <= res["petz_value"]
 
 
 def _property_state(seed, kind):
