@@ -83,18 +83,27 @@ def dephasing_channel(dim: int) -> KrausChannel:
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Density matrix with a declared (dim_a, dim_b) tensor factorization."""
+    """Density matrix with a declared (dim_a, dim_b) tensor factorization.
+
+    ``state`` is a read-only copy of the matrix given, so it cannot drift
+    from ``spectrum``: its eigenvalues in ascending order, as computed by the
+    validation (``validate_density_matrix``).
+    """
 
     state: np.ndarray
     dim_a: int
     dim_b: int
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.state, dtype=complex)
+        mat = np.array(self.state, dtype=complex)
+        mat.flags.writeable = False
         object.__setattr__(self, "state", mat)
         if mat.shape != (self.dim_a * self.dim_b, self.dim_a * self.dim_b):
             raise DimensionError(f"dims ({self.dim_a},{self.dim_b}) do not factor {mat.shape}")
-        validate_density_matrix(mat)
+        lam = validate_density_matrix(mat)
+        lam.flags.writeable = False
+        object.__setattr__(self, "spectrum", lam)
 
     @property
     def dims(self) -> tuple[int, int]:

@@ -24,6 +24,7 @@ from .linalg import (
     above_noise_floor,
     check_tolerance,
     dagger,
+    diagonal_entropy,
     eigvals_hermitian,
     entropy,
     fidelity,
@@ -414,9 +415,10 @@ def dilation_verify(spec: DilationSpec, channel: KrausChannel, n_states: int = 2
 
 
 def rel_ent_coherence(rho: np.ndarray, basis: Basis | None = None) -> float:
-    """Relative entropy of coherence S(Phi(rho)) - S(rho), in bits."""
+    """Relative entropy of coherence S(Phi(rho)) - S(rho), in bits; S(Phi(rho))
+    from the diagonal, without an eigensolve."""
     r = np.asarray(rho, dtype=complex) if basis is None else basis.to_coords(rho)
-    return entropy(dephase(r)) - entropy(r)
+    return diagonal_entropy(r) - entropy(r)
 
 
 CF_MAX_ITER = 5000

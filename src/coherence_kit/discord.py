@@ -39,12 +39,14 @@ from .linalg import (
     check_tolerance,
     dagger,
     dephase_subsystem,
+    diagonal_entropy,
     distance,
     entropy,
     ket,
     matrix_function,
     partial_trace,
     projector,
+    spectrum_entropy,
     tensor_product,
     trace_distance,
 )
@@ -59,8 +61,8 @@ def _dephase_a(rho: BipartiteState) -> BipartiteState:
 
 
 def mutual_information(rho: BipartiteState) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB), in bits."""
-    return entropy(rho.marginal("A")) + entropy(rho.marginal("B")) - entropy(rho.state)
+    """I(A:B) = S(A) + S(B) - S(AB), in bits; S(AB) from ``rho.spectrum``."""
+    return entropy(rho.marginal("A")) + entropy(rho.marginal("B")) - spectrum_entropy(rho.spectrum)
 
 
 def classical_correlations(rho: BipartiteState, basis: Basis | None = None) -> float:
@@ -94,17 +96,27 @@ def basis_discord(rho: BipartiteState, basis: Basis | None = None) -> DiscordRep
     """Full correlation report: I, J, delta = I - J, C(A) and C(B|A).
 
     The conditional coherence is the entropy cost of dephasing A inside the
-    joint state, C(B|A) = S(Phi_A(rho)) - S(rho); the identity
-    delta = C(B|A) - C(A) is asserted as a numerical cross-check.
+    joint state, C(B|A) = S(Phi_A(rho)) - S(rho).  I = S(A) + S(B) - S(AB)
+    is taken from rho and J from the dephased state Phi_A(rho) the same way.
+    The joint entropies S(AB) and S(Phi_A(rho)) are read from the two states'
+    ``spectrum`` (computed by their validation); S(A), S(B) and the B
+    marginal of Phi_A(rho) take one eigensolve each; the A marginal of
+    Phi_A(rho) is diagonal, so its entropy comes from ``diagonal_entropy``.
+    C(A) is computed apart, by ``rel_ent_coherence`` on rho_A.  The identity
+    delta = C(B|A) - C(A), asserted as a numerical cross-check, then holds
+    only if Phi_A leaves rho_B and the diagonal of rho_A unchanged, so a
+    dephasing of the wrong side or in the wrong coordinates breaks it.
     """
     if basis is not None:
         rho = basis.to_coords_a(rho)
     dephased = _dephase_a(rho)
-    i = mutual_information(rho)
-    j = mutual_information(dephased)
+    marginal_a = rho.marginal("A")
+    s_ab, s_dephased = spectrum_entropy(rho.spectrum), spectrum_entropy(dephased.spectrum)
+    i = entropy(marginal_a) + entropy(rho.marginal("B")) - s_ab
+    j = diagonal_entropy(dephased.marginal("A")) + entropy(dephased.marginal("B")) - s_dephased
     delta = i - j
-    c_a = rel_ent_coherence(rho.marginal("A"))
-    c_cond = entropy(dephased.state) - entropy(rho.state)
+    c_a = rel_ent_coherence(marginal_a)
+    c_cond = s_dephased - s_ab
     if abs(delta - (c_cond - c_a)) > DISCORD_IDENTITY_TOL:
         raise InvariantError(
             f"discord identity violated: I - J = {delta:.3e}, "
@@ -394,20 +406,20 @@ class _RecoveryProblem:
     states X; its minimum over that set bounds the optimum.
     """
 
-    def __init__(self, metric: str, rho: np.ndarray, sigma: np.ndarray, dims: tuple[int, int]):
-        self.metric, self.rho = metric, rho
-        self.da, self.db = dims
+    def __init__(self, metric: str, state: BipartiteState, sigma: np.ndarray):
+        self.metric, self.rho = metric, state.state
+        self.da, self.db = state.dims
         idx = np.arange(self.da)
         # Row i is sigma_i flattened.
         self.s = sigma.reshape(self.da, self.db, self.da, self.db)[idx, :, idx, :].reshape(self.da, -1)
         if metric == "one_minus_fidelity":
-            lam, v = np.linalg.eigh(rho)
+            lam, v = np.linalg.eigh(self.rho)
             keep = lam > SUPPORT_CUTOFF
             v = v[:, keep]
             self.root = (v * np.sqrt(lam[keep])) @ dagger(v)
             self.support = v @ dagger(v)
         elif metric == "rel_ent":
-            self.neg_entropy = -entropy(rho)
+            self.neg_entropy = -spectrum_entropy(state.spectrum)
 
     def link(self, omega: np.ndarray) -> np.ndarray:
         """L(omega) = sum_i omega_i x sigma_i."""
@@ -760,7 +772,7 @@ def recoverability(
 
     lower_bound, iterations, converged = 0.0, 0, False
     if budget > 0:
-        problem = _RecoveryProblem(metric, target, sigma, (da, db))
+        problem = _RecoveryProblem(metric, work, sigma)
         start = _prepared_states(best_ops)
         omega, lower_bound, iterations, converged = _solve_recovery(problem, start, best_value, maxiter)
         if omega is not None:
@@ -817,14 +829,16 @@ def memory_monotonicity_trial(
     ``suite recover-memory --seed 5`` the trace metric's d_A = m * d solve
     converged every time, in 9 to 14 Newton steps.  The trial passes when
     after <= before + MEMORY_SLACK.  ``seed`` is passed on and unused.
+    Each side's solver state is returned as well: ``before_lower_bound``,
+    ``before_iterations``, ``before_converged`` and the same for ``after``.
     """
     before = recoverability(rho, metric=metric, budget=budget, seed=seed)
     mem = with_memory(channel)
     extended = local_apply(mem, rho, "A")
     replay = compose(mem, compose(before["channel"], _unpermute_map(channel)))
     after = recoverability(extended, metric=metric, budget=budget, seed=seed + 1, extra_candidates=(replay,))
-    return {
-        "before": before["value"],
-        "after": after["value"],
-        "pass": after["value"] <= before["value"] + MEMORY_SLACK,
-    }
+    out = {"before": before["value"], "after": after["value"], "pass": after["value"] <= before["value"] + MEMORY_SLACK}
+    for side, res in (("before", before), ("after", after)):
+        for key in ("lower_bound", "iterations", "converged"):
+            out[f"{side}_{key}"] = res[key]
+    return out

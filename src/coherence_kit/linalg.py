@@ -130,8 +130,13 @@ def assert_hermitian(m: np.ndarray, tol: float = SPECTRAL_TOL) -> None:
         raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} > {tol:.1e}")
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> None:
-    """Check Hermiticity, positivity and unit trace of a density matrix."""
+def validate_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
+    """Check Hermiticity, positivity and unit trace of a density matrix.
+
+    Returns the spectrum the positivity check computed, ``eigvals_hermitian``
+    of the matrix (ascending), so that a caller can take its entropy with
+    ``spectrum_entropy`` instead of solving it again.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"not a square matrix: shape {rho.shape}")
@@ -146,6 +151,7 @@ def validate_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> Non
     lam = eigvals_hermitian(rho)
     if lam[0] < -VALIDATION_TOL:
         raise InvalidStateError(f"negative eigenvalue {lam[0]:.3e}")
+    return lam
 
 
 def is_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
@@ -220,11 +226,23 @@ def matrix_function(m: np.ndarray, kind: str) -> np.ndarray:
     return (v * out) @ dagger(v)
 
 
-def entropy(rho: np.ndarray) -> float:
-    """von Neumann entropy in bits, with 0 log 0 = 0."""
-    lam = eigvals_hermitian(rho)
+def spectrum_entropy(lam: np.ndarray) -> float:
+    """Shannon entropy in bits of an ascending spectrum, with 0 log 0 = 0:
+    the von Neumann entropy of any matrix with that spectrum."""
     lam = lam[lam > SUPPORT_CUTOFF]
     return float(-np.sum(lam * np.log2(lam)))
+
+
+def entropy(rho: np.ndarray) -> float:
+    """von Neumann entropy in bits, with 0 log 0 = 0."""
+    return spectrum_entropy(eigvals_hermitian(rho))
+
+
+def diagonal_entropy(m: np.ndarray) -> float:
+    """``entropy`` of the diagonal part of m, without an eigensolve: the
+    sorted real diagonal is the spectrum ``eigvals_hermitian`` returns for a
+    diagonal matrix, bit for bit."""
+    return spectrum_entropy(np.sort(np.real(np.diag(m))))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -19,6 +19,7 @@ from coherence_kit.channels import (
     unitary_channel,
     with_memory,
 )
+from coherence_kit.discord import basis_discord
 from coherence_kit.linalg import DimensionError, eigvals_hermitian, ket, partial_trace, tensor_product
 from coherence_kit.sampling import random_density_matrix, random_unitary, stream
 
@@ -135,6 +136,20 @@ def test_kraus_stack_storage():
         KrausChannel((np.eye(2), np.eye(3)))
     with pytest.raises(ChannelError):
         KrausChannel(())
+
+
+def test_bipartite_state_storage():
+    source = random_density_matrix(6, stream(181, 0))
+    kept = source.copy()
+    rho = BipartiteState(source, 2, 3)
+    report = basis_discord(rho)
+    assert not rho.state.flags.writeable and not rho.spectrum.flags.writeable
+    np.testing.assert_array_equal(rho.spectrum, eigvals_hermitian(rho.state))
+    source[0, 1] = source[1, 0] = 0.25
+    np.testing.assert_array_equal(rho.state, kept)
+    assert basis_discord(rho) == report
+    with pytest.raises(ValueError):
+        rho.state[0, 0] = 0.0
 
 
 # Reference actions built from explicit Kronecker products and loops over

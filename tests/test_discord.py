@@ -17,7 +17,13 @@ from coherence_kit.channels import (
     pad_trace_preserving,
     with_memory,
 )
-from coherence_kit.coherence import Basis, random_incoherent_not_si_channel, random_si_channel
+from coherence_kit.coherence import (
+    Basis,
+    dephase,
+    random_incoherent_not_si_channel,
+    random_si_channel,
+    rel_ent_coherence,
+)
 from coherence_kit.discord import (
     _prepared_states,
     _project_states,
@@ -37,9 +43,11 @@ from coherence_kit.discord import (
 )
 from coherence_kit.linalg import (
     METRICS,
+    InvariantError,
     dagger,
     dephase_subsystem,
     distance,
+    entropy,
     ket,
     matrix_function,
     projector,
@@ -551,7 +559,7 @@ def test_recoverability_starts_at_padded_petz_channel():
         warnings.simplefilter("error")
         for metric in METRICS:
             res = recoverability(rho, metric=metric, budget=1)
-            problem = _RecoveryProblem(metric, mat, sigma, rho.dims)
+            problem = _RecoveryProblem(metric, rho, sigma)
             start = distance(metric, mat, problem.link(_prepared_states(petz.kraus)))
             assert start == pytest.approx(res["petz_value"], rel=0, abs=1e-12)
             assert res["optimized"] and res["value"] <= res["petz_value"]
@@ -580,7 +588,7 @@ def test_recovery_link_is_local_action_on_prepared_states():
     states += [extended for _, _, extended in _memory_trial_states(167, 3)]
     for rho in states:
         sigma = dephase_subsystem(rho.state, rho.dims, 0)
-        problem = _RecoveryProblem("trace", rho.state, sigma, rho.dims)
+        problem = _RecoveryProblem("trace", rho, sigma)
         kraus = _random_kraus(rho.dim_a, rng)
         omega = _prepared_states(kraus)
         want = _local_branches(kraus, sigma, rho.dims, "A").sum(axis=0)
@@ -628,6 +636,15 @@ def test_memory_register_is_already_dephased():
             assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
+def test_memory_trial_reports_both_solves():
+    rng = stream(157, 0)
+    rho = BipartiteState(random_density_matrix(4, rng), 2, 2)
+    res = memory_monotonicity_trial(rho, random_si_channel(2, 2, seed=157), budget=1)
+    for side in ("before", "after"):
+        assert res[f"{side}_lower_bound"] <= res[side]
+        assert res[f"{side}_converged"] and res[f"{side}_iterations"] > 0
+
+
 def test_memory_monotonicity_identity_channel():
     from coherence_kit.channels import identity_channel
 
@@ -651,6 +668,61 @@ def test_memory_monotonicity_zero_discord_input():
     e = random_si_channel(2, 2, seed=139)
     res = memory_monotonicity_trial(rho, e, budget=1)
     assert res["before"] < 1e-6 and res["after"] < 1e-4
+
+
+def _spectrum_panel():
+    """Seeded 2x2, 2x3, 3x2 and 3x3 states: random, pure, rank 2 and planted
+    zero discord."""
+    for da, db in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        rng = stream(191, da, db)
+        n = da * db
+        yield BipartiteState(random_density_matrix(n, rng), da, db)
+        yield BipartiteState(projector(random_pure_state(n, rng)), da, db)
+        yield BipartiteState(random_density_matrix(n, rng, rank=2), da, db)
+        yield random_zero_discord_state(da, db, seed=191)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_basis_discord_equals_plain_entropy_compositions(rotated):
+    # The report reads the states' validation spectra and one eigensolve per
+    # marginal; every field must equal, bit for bit, the composition of
+    # plain ``entropy`` calls it replaces.
+    for k, rho in enumerate(_spectrum_panel()):
+        basis = Basis(random_unitary(rho.dim_a, stream(193, k))) if rotated else None
+        rep = basis_discord(rho, basis)
+        work = rho if basis is None else basis.to_coords_a(rho)
+        dephased = BipartiteState(dephase_subsystem(work.state, work.dims, 0), *work.dims)
+        i = entropy(work.marginal("A")) + entropy(work.marginal("B")) - entropy(work.state)
+        j = entropy(dephased.marginal("A")) + entropy(dephased.marginal("B")) - entropy(dephased.state)
+        marginal_a = work.marginal("A")
+        assert rep.mutual_information == mutual_information(work) == i
+        assert rep.classical_correlations == mutual_information(dephased) == j
+        assert rep.classical_correlations == classical_correlations(rho, basis)
+        assert rep.basis_discord == i - j
+        assert rep.local_coherence == entropy(dephase(marginal_a)) - entropy(marginal_a)
+        assert rep.conditional_coherence == entropy(dephased.state) - entropy(work.state)
+        for r in (work.state, marginal_a, rho.marginal("B")):
+            assert rel_ent_coherence(r) == entropy(dephase(r)) - entropy(r)
+
+
+@pytest.mark.parametrize("wrong", ["side B", "rotated A basis"])
+def test_discord_identity_catches_a_wrong_dephasing(wrong, monkeypatch):
+    # The identity delta = C(B|A) - C(A) compares the dephased state's
+    # marginals with rho's, so a Phi_A that dephases the wrong side or in
+    # the wrong coordinates must trip it.
+    rho = BipartiteState(random_density_matrix(6, stream(197, 0)), 2, 3)
+    real = discord._dephase_a
+    if wrong == "side B":
+        def bad(r):
+            return BipartiteState(dephase_subsystem(r.state, r.dims, 1), *r.dims)
+    else:
+        basis = Basis(random_unitary(2, stream(197, 1)))
+        def bad(r):
+            return basis.from_coords_a(real(basis.to_coords_a(r)))
+    basis_discord(rho)
+    monkeypatch.setattr(discord, "_dephase_a", bad)
+    with pytest.raises(InvariantError, match="discord identity"):
+        basis_discord(rho)
 
 
 def test_basis_argument_rotates_everything_consistently():
