@@ -73,23 +73,15 @@ def cmd_classify(args) -> int:
 def cmd_measure(args) -> int:
     state = state_from_json(load_json(args.state))
     basis = basis_from_json(load_json(args.basis)) if args.basis else None
-    seed = _default_seed(args.seed)
     if args.kind == "coherence":
-        if not isinstance(state, np.ndarray):
-            state = state.state
-        from .linalg import validate_density_matrix
-
-        validate_density_matrix(state)
-        _emit(coherence_measures(state, basis, seed=seed))
+        _emit(coherence_measures(state if isinstance(state, np.ndarray) else state.state, basis))
         return 0
     if isinstance(state, np.ndarray):
         raise ParseError(f"{args.kind} needs a bipartite state with dims")
     if args.kind == "discord":
         _emit(basis_discord(state, basis).to_dict())
         return 0
-    res = recoverability(
-        state, basis, metric=METRIC_ALIASES[args.metric], budget=args.budget, seed=seed
-    )
+    res = recoverability(state, basis, metric=METRIC_ALIASES[args.metric], budget=args.budget)
     _emit({"value": res["value"], "petz_value": res["petz_value"], "metric": args.metric})
     return 0
 
@@ -202,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state JSON file")
     p.add_argument("--basis", help="basis JSON file")
     p.add_argument("--metric", choices=sorted(METRIC_ALIASES), default="trace")
-    p.add_argument("--budget", type=_non_negative_int, default=8)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--budget", type=_non_negative_int, default=1)
     p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("reproduce", help="re-run a pinned worked example")
@@ -215,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--trials", type=_non_negative_int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for interface parity; trials run serially")
     p.set_defaults(fn=cmd_suite)
 
     return parser

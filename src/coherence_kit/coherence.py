@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BipartiteState, ChannelError, KrausChannel, _unit_images, pad_trace_preserving
+from .channels import BipartiteState, ChannelError, KrausChannel, pad_trace_preserving, unit_images
 from .linalg import (
     CF_GAP_TOL,
     COVARIANCE_TOL,
@@ -50,9 +50,9 @@ class Basis:
         object.__setattr__(self, "columns", c)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise DimensionError("basis must be a square matrix of column vectors")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("basis has a non-finite entry")
-        if np.max(np.abs(dagger(c) @ c - np.eye(c.shape[0]))) > VALIDATION_TOL:
+        if np.abs(dagger(c) @ c - np.eye(c.shape[0])).max() > VALIDATION_TOL:
             raise ValueError(f"basis columns are not unitary within {VALIDATION_TOL:.0e}")
 
     @classmethod
@@ -74,12 +74,12 @@ class Basis:
     def to_coords_a(self, rho: BipartiteState) -> BipartiteState:
         """``to_coords`` on side A of a bipartite state."""
         u = tensor_product(self.columns, np.eye(rho.dim_b))
-        return BipartiteState(dagger(u) @ rho.state @ u, rho.dim_a, rho.dim_b)
+        return BipartiteState._built(dagger(u) @ rho.state @ u, rho.dim_a, rho.dim_b)
 
     def from_coords_a(self, rho: BipartiteState) -> BipartiteState:
         """Inverse of ``to_coords_a``."""
         u = tensor_product(self.columns, np.eye(rho.dim_b))
-        return BipartiteState(u @ rho.state @ dagger(u), rho.dim_a, rho.dim_b)
+        return BipartiteState._built(u @ rho.state @ dagger(u), rho.dim_a, rho.dim_b)
 
 
 def dephase(rho: np.ndarray, basis: Basis | None = None) -> np.ndarray:
@@ -237,19 +237,14 @@ def dephasing_commutant_deviation(channel: KrausChannel, basis: Basis | None = N
     far E(|b_i><b_i|) is from basis-diagonal and the i != j terms how large
     the basis-diagonal part of E(|b_i><b_j|) is.
     """
-    return _commutant_deviation(channel.kraus if basis is None else basis.to_coords(channel.kraus), basis)
-
-
-def _commutant_deviation(kraus: np.ndarray, basis: Basis | None) -> float:
-    """``dephasing_commutant_deviation`` of a Kraus stack already in basis
-    coordinates; the deviation operators go back to the original ones."""
-    images = _unit_images(kraus)
-    dev = images * np.eye(kraus.shape[1])
-    idx = np.arange(kraus.shape[2])
+    work = channel if basis is None else KrausChannel._built(basis.to_coords(channel.kraus))
+    images = unit_images(work)
+    dev = images * np.eye(work.dim_out)
+    idx = np.arange(work.dim_in)
     dev[idx, idx] -= images[idx, idx]
     if basis is not None:
         dev = basis.from_coords(dev)
-    return float(np.max(np.abs(dev)))
+    return float(np.abs(dev).max())
 
 
 def classify_channel(
@@ -267,8 +262,8 @@ def classify_channel(
     """
     if channel.dim_in != channel.dim_out:
         raise DimensionError("classification needs a square channel")
-    kraus = channel.kraus if basis is None else basis.to_coords(channel.kraus)
-    forms = tuple(classify_kraus(k, None, tol) for k in kraus)
+    work = channel if basis is None else KrausChannel._built(basis.to_coords(channel.kraus))
+    forms = tuple(classify_kraus(k, None, tol) for k in work.kraus)
     incoherent = all(f.incoherent for f in forms)
     strictly = all(f.strictly_incoherent for f in forms)
     genuinely = all(f.genuinely_incoherent for f in forms)
@@ -276,9 +271,9 @@ def classify_channel(
     covariant: bool | None = None
     if observable is not None:
         a = np.asarray(observable, dtype=float)
-        covariant = all(_kraus_covariant(k, a, COVARIANCE_TOL) for k in kraus)
+        covariant = all(_kraus_covariant(k, a, COVARIANCE_TOL) for k in work.kraus)
 
-    deviation = _commutant_deviation(kraus, basis)
+    deviation = dephasing_commutant_deviation(channel, basis)
     commutes = deviation <= tol
 
     report = ClassificationReport(
@@ -490,14 +485,13 @@ def fidelity_coherence(
     sigma of 1 - F(rho, sigma), certified to lie within its reported gap
     (<= CF_GAP_TOL when converged) of the true minimum.
 
-    ``restarts`` and ``seed`` do nothing: the problem is concave in the
-    diagonal weights, so one deterministic start suffices.  They are kept so
-    that existing callers still run.
+    ``restarts`` and ``seed`` are accepted and unused: the problem is concave
+    in the diagonal weights, so one deterministic start suffices.
     """
     return fidelity_coherence_report(rho, basis)["value"]
 
 
-def coherence_measures(rho: np.ndarray, basis: Basis | None = None, seed: int = 0) -> dict:
+def coherence_measures(rho: np.ndarray, basis: Basis | None = None) -> dict:
     """All single-system coherence measures: relative entropy C, the dephased
     distances C'_tr and C'_f, and the optimized fidelity measure C_f."""
     r = np.asarray(rho, dtype=complex) if basis is None else basis.to_coords(rho)
@@ -506,7 +500,7 @@ def coherence_measures(rho: np.ndarray, basis: Basis | None = None, seed: int = 
         "C": rel_ent_coherence(r),
         "C_tr": trace_distance(r, phi),
         "C_f_dephased": 1.0 - min(1.0, fidelity(r, phi)),
-        "C_f": fidelity_coherence(r, seed=seed),
+        "C_f": fidelity_coherence(r),
     }
 
 
@@ -523,7 +517,7 @@ def random_si_channel(
     ops = np.zeros((n_kraus, d, d), dtype=complex)
     for mu in range(n_kraus):
         ops[mu, rng.permutation(d), np.arange(d)] = coeff[mu]
-    return KrausChannel(ops if basis is None else basis.from_coords(ops))
+    return KrausChannel._built(ops if basis is None else basis.from_coords(ops))
 
 
 def random_gi_channel(d: int, n_kraus: int, seed: int = 0, index: int = 0) -> KrausChannel:
@@ -531,7 +525,7 @@ def random_gi_channel(d: int, n_kraus: int, seed: int = 0, index: int = 0) -> Kr
     rng = stream(seed, 29, d, n_kraus, index)
     coeff = rng.normal(size=(n_kraus, d)) + 1j * rng.normal(size=(n_kraus, d))
     coeff /= np.linalg.norm(coeff, axis=0, keepdims=True)
-    return KrausChannel(tuple(np.diag(coeff[mu]) for mu in range(n_kraus)))
+    return KrausChannel._built(tuple(np.diag(coeff[mu]) for mu in range(n_kraus)))
 
 
 def random_incoherent_not_si_channel(d: int, seed: int = 0, index: int = 0) -> KrausChannel:
@@ -556,4 +550,4 @@ def random_incoherent_not_si_channel(d: int, seed: int = 0, index: int = 0) -> K
     for m in range(d):
         if m not in (i, j):
             ops.append(np.outer(ket(m, d), ket(m, d)))
-    return KrausChannel(tuple(ops))
+    return KrausChannel._built(tuple(ops))

@@ -15,11 +15,12 @@ from .channels import (
     BipartiteState,
     ChannelError,
     KrausChannel,
-    _local_branches,
-    _pad_kraus,
-    _unit_images,
     compose,
+    identity_channel,
     local_apply,
+    local_branches,
+    pad_trace_preserving,
+    unit_images,
     with_memory,
 )
 from .coherence import Basis, classify_channel, classify_kraus, rel_ent_coherence
@@ -36,6 +37,7 @@ from .linalg import (
     SUPPORT_CUTOFF,
     TIE_RTOL,
     InvariantError,
+    _cross_entropy,
     check_tolerance,
     dagger,
     dephase_subsystem,
@@ -57,7 +59,7 @@ LN2 = math.log(2.0)
 
 def _dephase_a(rho: BipartiteState) -> BipartiteState:
     """Local dephasing of side A in the computational basis."""
-    return BipartiteState(dephase_subsystem(rho.state, rho.dims, 0), rho.dim_a, rho.dim_b)
+    return BipartiteState._built(dephase_subsystem(rho.state, rho.dims, 0), rho.dim_a, rho.dim_b)
 
 
 def mutual_information(rho: BipartiteState) -> float:
@@ -99,7 +101,7 @@ def basis_discord(rho: BipartiteState, basis: Basis | None = None) -> DiscordRep
     joint state, C(B|A) = S(Phi_A(rho)) - S(rho).  I = S(A) + S(B) - S(AB)
     is taken from rho and J from the dephased state Phi_A(rho) the same way.
     The joint entropies S(AB) and S(Phi_A(rho)) are read from the two states'
-    ``spectrum`` (computed by their validation); S(A), S(B) and the B
+    ``spectrum`` (one eigensolve each, at most); S(A), S(B) and the B
     marginal of Phi_A(rho) take one eigensolve each; the A marginal of
     Phi_A(rho) is diagonal, so its entropy comes from ``diagonal_entropy``.
     C(A) is computed apart, by ``rel_ent_coherence`` on rho_A.  The identity
@@ -127,17 +129,17 @@ def basis_discord(rho: BipartiteState, basis: Basis | None = None) -> DiscordRep
     return DiscordReport(i, j, delta, c_a, c_cond)
 
 
-def _petz_kraus(rho_a: np.ndarray) -> np.ndarray:
-    """Kraus stack rho_a^{1/2} P_i sigma^{-1/2} of the transpose channel undoing
-    dephasing on the marginal rho_a (sigma dephased, P_i computational), with
-    sigma's kernel projector appended so that it is trace-preserving."""
+def _petz_channel(rho_a: np.ndarray) -> KrausChannel:
+    """The transpose channel undoing dephasing on the marginal rho_a, Kraus
+    operators rho_a^{1/2} P_i sigma^{-1/2} (sigma dephased, P_i computational),
+    with sigma's kernel projector appended so that it is trace-preserving."""
     rho_a = np.asarray(rho_a, dtype=complex)
     d = rho_a.shape[0]
     projectors = [projector(ket(i, d)) for i in range(d)]
     sigma = sum(p @ rho_a @ p for p in projectors)
     root = matrix_function(rho_a, "sqrt")
     inv_root = matrix_function(sigma, "inv_sqrt")
-    return _pad_kraus(np.array([root @ p @ inv_root for p in projectors]))
+    return pad_trace_preserving(KrausChannel._built(np.array([root @ p @ inv_root for p in projectors])))
 
 
 def petz_recover(rho: BipartiteState, basis: Basis | None = None):
@@ -147,13 +149,11 @@ def petz_recover(rho: BipartiteState, basis: Basis | None = None):
     vanishes the recovered state equals the input.
     """
     work = rho if basis is None else basis.to_coords_a(rho)
-    ops = _petz_kraus(work.marginal("A"))
-    recovered = BipartiteState(
-        _local_branches(ops, _dephase_a(work).state, work.dims, "A").sum(axis=0), rho.dim_a, rho.dim_b
-    )
+    petz = _petz_channel(work.marginal("A"))
+    recovered = local_apply(petz, _dephase_a(work), "A")
     if basis is None:
-        return KrausChannel(ops), recovered
-    return KrausChannel(basis.from_coords(ops)), basis.from_coords_a(recovered)
+        return petz, recovered
+    return KrausChannel._built(basis.from_coords(petz.kraus)), basis.from_coords_a(recovered)
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def random_zero_discord_state(
         a_full = np.zeros((dim_a, dim_a), dtype=complex)
         a_full[np.ix_(members, members)] = small
         out += w * tensor_product(a_full, random_density_matrix(dim_b, rng))
-    return BipartiteState(out, dim_a, dim_b)
+    return BipartiteState._built(out, dim_a, dim_b)
 
 
 def zero_discord_example() -> BipartiteState:
@@ -280,8 +280,8 @@ def ensemble_monotonicity_trial(
     """
     if kind not in ("J", "delta"):
         raise ValueError(f"kind must be 'J' or 'delta', got {kind!r}")
-    kraus = channel.kraus if basis is None else basis.to_coords(channel.kraus)
-    if not channel.trace_preserving or not all(classify_kraus(k).strictly_incoherent for k in kraus):
+    work = channel if basis is None else KrausChannel._built(basis.to_coords(channel.kraus))
+    if not channel.trace_preserving or not all(classify_kraus(k).strictly_incoherent for k in work.kraus):
         raise ChannelError("ensemble monotonicity needs a trace-preserving SI channel")
     if basis is not None:
         rho = basis.to_coords_a(rho)
@@ -292,11 +292,11 @@ def ensemble_monotonicity_trial(
 
     rhs = measure(rho)
     lhs = 0.0
-    for out in _local_branches(kraus, rho.state, rho.dims, "A"):
+    for out in local_branches(work, rho, "A"):
         p = float(np.real(np.trace(out)))
         if p <= NEGLIGIBLE_P:
             continue
-        lhs += p * measure(BipartiteState(out / p, rho.dim_a, rho.dim_b))
+        lhs += p * measure(BipartiteState._built(out / p, rho.dim_a, rho.dim_b))
     return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + MONOTONE_SLACK}
 
 
@@ -313,8 +313,8 @@ def j_increase_witness(channel: KrausChannel, basis: Basis | None = None):
     witness state is returned in the caller's coordinates.
     """
     d = channel.dim_in
-    kraus = channel.kraus if basis is None else basis.to_coords(channel.kraus)
-    diag = np.einsum("ijkk->ijk", _unit_images(kraus))
+    work = channel if basis is None else KrausChannel._built(basis.to_coords(channel.kraus))
+    diag = np.einsum("ijkk->ijk", unit_images(work))
     mag = np.abs(diag)
     mag[np.arange(d), np.arange(d)] = 0.0
     top = float(mag.max())
@@ -329,8 +329,7 @@ def j_increase_witness(channel: KrausChannel, basis: Basis | None = None):
     )
     state = BipartiteState(mat, d, 2)
     j_before = classical_correlations(state)
-    after = BipartiteState(_local_branches(kraus, mat, (d, 2), "A").sum(axis=0), channel.dim_out, 2)
-    j_after = classical_correlations(after)
+    j_after = classical_correlations(local_apply(work, state, "A"))
     if basis is not None:
         state = basis.from_coords_a(state)
     return state, phi, j_before, j_after
@@ -421,6 +420,12 @@ class _RecoveryProblem:
         elif metric == "rel_ent":
             self.neg_entropy = -spectrum_entropy(state.spectrum)
 
+    def distance_to(self, x: np.ndarray) -> float:
+        """``distance(metric, rho, x)``; under rel_ent, -S(rho) is ``neg_entropy``."""
+        if self.metric != "rel_ent":
+            return distance(self.metric, self.rho, x)
+        return self.neg_entropy + _cross_entropy(self.rho, x)
+
     def link(self, omega: np.ndarray) -> np.ndarray:
         """L(omega) = sum_i omega_i x sigma_i."""
         da, db = self.da, self.db
@@ -503,7 +508,7 @@ class _Incumbent:
     def score(self, omega: np.ndarray, x: np.ndarray, c: float, grad: np.ndarray) -> bool:
         """Offer the stack omega with x = L(omega) and the minorant (c, g) as
         grad = L^*(g); returns whether the gap has closed."""
-        value = distance(self.problem.metric, self.problem.rho, x)
+        value = self.problem.distance_to(x)
         if value < self.value:
             self.omega, self.value = omega, value
         self.bound = max(self.bound, self.problem.lower_bound(c, grad))
@@ -718,7 +723,7 @@ def recoverability(
     rho: BipartiteState,
     basis: Basis | None = None,
     metric: str = "trace",
-    budget: int = 8,
+    budget: int = 1,
     seed: int = 0,
     extra_candidates: tuple[KrausChannel, ...] = (),
     maxiter: int = 2000,
@@ -743,52 +748,47 @@ def recoverability(
     evaluation is coarser than the bound (1 - F on a rank-deficient state
     takes square roots of rounding-level eigenvalues: the raw bound was
     seen up to 8e-11 above an exact recovery's value).  ``budget=0`` scores
-    the fixed candidates only (``lower_bound`` 0, ``optimized`` false);
-    ``budget >= 1`` runs one solve of at most ``maxiter`` steps: Newton
-    steps under the trace metric, FISTA iterations under the others
-    (``iterations`` says how many).  ``converged`` means the solve stopped
-    with value - lower_bound <= RECOVERY_GAP_TOL, which a candidate within
-    that of 0 meets after 0 steps; a run that hits ``maxiter`` reports false
-    with its wider bound.  ``seed`` is accepted and unused: the solver is
-    deterministic.  ``channel`` is the best recovery as Kraus operators
-    (sqrt(lambda) |v><i| over the eigenpairs of each omega_i), scored by the
-    local-action kernel like every candidate, and returned in the caller's
-    coordinates.
+    the fixed candidates only (``lower_bound`` 0, ``iterations`` 0);
+    any ``budget >= 1`` runs the same single solve of at most ``maxiter``
+    steps: Newton steps under the trace metric, FISTA iterations under the
+    others (``iterations`` says how many).  ``converged`` means the solve
+    stopped with value - lower_bound <= RECOVERY_GAP_TOL, which a candidate
+    within that of 0 meets after 0 steps; a run that hits ``maxiter``
+    reports false with its wider bound.  ``seed`` is accepted and unused:
+    the solver is deterministic.  ``channel`` is the best recovery as Kraus
+    operators (sqrt(lambda) |v><i| over the eigenpairs of each omega_i),
+    scored by the local action like every candidate, and returned in the
+    caller's coordinates.
     """
     work = rho if basis is None else basis.to_coords_a(rho)
-    da, db = work.dims
-    sigma = _dephase_a(work).state
-    target = work.state
+    dephased = _dephase_a(work)
+    problem = _RecoveryProblem(metric, work, dephased.state)
 
-    def value_ops(ops: np.ndarray) -> float:
-        recovered = _local_branches(ops, sigma, (da, db), "A").sum(axis=0)
-        return distance(metric, target, recovered)
+    def value_of(candidate: KrausChannel) -> float:
+        return problem.distance_to(local_apply(candidate, dephased, "A").state)
 
-    extra = [cand.kraus for cand in extra_candidates]
-    candidates = [_petz_kraus(work.marginal("A")), np.eye(da, dtype=complex)[None], *extra]
-    values = [value_ops(ops) for ops in candidates]
+    candidates = [_petz_channel(work.marginal("A")), identity_channel(work.dim_a), *extra_candidates]
+    values = [value_of(candidate) for candidate in candidates]
     petz_value = values[0]
-    best_value, best_ops = min(zip(values, candidates), key=lambda pair: pair[0])
+    best_value, best = min(zip(values, candidates), key=lambda pair: pair[0])
 
     lower_bound, iterations, converged = 0.0, 0, False
     if budget > 0:
-        problem = _RecoveryProblem(metric, work, sigma)
-        start = _prepared_states(best_ops)
+        start = _prepared_states(best.kraus)
         omega, lower_bound, iterations, converged = _solve_recovery(problem, start, best_value, maxiter)
         if omega is not None:
-            ops = _measure_prepare_kraus(omega)
-            v = value_ops(ops)
+            found = KrausChannel._built(_measure_prepare_kraus(omega))
+            v = value_of(found)
             if v < best_value:
-                best_value, best_ops = v, ops
+                best_value, best = v, found
 
     value = max(0.0, best_value)
     return {
         "value": value,
         "lower_bound": min(max(0.0, lower_bound), value),
         "petz_value": max(0.0, petz_value),
-        "channel": KrausChannel(best_ops if basis is None else basis.from_coords(best_ops)),
+        "channel": best if basis is None else KrausChannel._built(basis.from_coords(best.kraus)),
         "iterations": iterations,
-        "optimized": budget > 0,
         "converged": converged,
     }
 
@@ -801,20 +801,17 @@ def _unpermute_map(channel: KrausChannel) -> KrausChannel:
         raise ChannelError("outcome unpermutation needs an SI channel")
     m = len(channel)
     d = channel.dim_in
-    ops = []
+    ops = np.zeros((m, d, m * d), dtype=complex)
     for mu, form in enumerate(report.kraus_forms):
-        t = np.zeros((d, m * d), dtype=complex)
-        for i in range(d):
-            t[i, mu * d + form.permutation[i]] = 1.0
-        ops.append(t)
-    return KrausChannel(tuple(ops))
+        ops[mu, np.arange(d), mu * d + np.array(form.permutation)] = 1.0
+    return KrausChannel._built(ops)
 
 
 def memory_monotonicity_trial(
     rho: BipartiteState,
     channel: KrausChannel,
     metric: str = "trace",
-    budget: int = 4,
+    budget: int = 1,
     seed: int = 0,
 ) -> dict:
     """Recoverability before an SI channel on A versus after, with a memory.
@@ -828,15 +825,15 @@ def memory_monotonicity_trial(
     holds up to rounding for any pre-channel recovery.  On the 20 trials of
     ``suite recover-memory --seed 5`` the trace metric's d_A = m * d solve
     converged every time, in 9 to 14 Newton steps.  The trial passes when
-    after <= before + MEMORY_SLACK.  ``seed`` is passed on and unused.
+    after <= before + MEMORY_SLACK.  ``seed`` is accepted and unused.
     Each side's solver state is returned as well: ``before_lower_bound``,
     ``before_iterations``, ``before_converged`` and the same for ``after``.
     """
-    before = recoverability(rho, metric=metric, budget=budget, seed=seed)
+    before = recoverability(rho, metric=metric, budget=budget)
     mem = with_memory(channel)
     extended = local_apply(mem, rho, "A")
     replay = compose(mem, compose(before["channel"], _unpermute_map(channel)))
-    after = recoverability(extended, metric=metric, budget=budget, seed=seed + 1, extra_candidates=(replay,))
+    after = recoverability(extended, metric=metric, budget=budget, extra_candidates=(replay,))
     out = {"before": before["value"], "after": after["value"], "pass": after["value"] <= before["value"] + MEMORY_SLACK}
     for side, res in (("before", before), ("after", after)):
         for key in ("lower_bound", "iterations", "converged"):

@@ -123,7 +123,7 @@ def projector(vec: np.ndarray) -> np.ndarray:
 
 
 def assert_hermitian(m: np.ndarray, tol: float = SPECTRAL_TOL) -> None:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NotHermitianError("matrix has a non-finite entry")
     dev = np.max(np.abs(m - dagger(m)))
     if dev > tol:
@@ -140,7 +140,7 @@ def validate_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> np.
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"not a square matrix: shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise InvalidStateError("density matrix has a non-finite entry")
     dev = np.max(np.abs(rho - dagger(rho)))
     if dev > tol:
@@ -251,6 +251,12 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     Returns ``math.inf`` when the support of rho leaks into the kernel
     of sigma by more than LEAK_TOL.
     """
+    cross = _cross_entropy(rho, sigma)
+    return cross if cross == math.inf else -entropy(rho) + cross
+
+
+def _cross_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """-tr(rho log2 sigma) in bits, or ``math.inf`` as ``relative_entropy`` returns it."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
@@ -264,8 +270,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
             return math.inf
     support = ~kernel
     diag_in_sigma = np.real(np.einsum("ia,ij,ja->a", svec.conj(), rho, svec))
-    cross = float(np.sum(diag_in_sigma[support] * np.log2(slam[support])))
-    return -entropy(rho) - cross
+    return -float(np.sum(diag_in_sigma[support] * np.log2(slam[support])))
 
 
 def trace_norm(m: np.ndarray) -> float:

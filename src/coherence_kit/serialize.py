@@ -12,6 +12,7 @@ import numpy as np
 
 from .channels import BipartiteState, KrausChannel
 from .coherence import Basis
+from .linalg import validate_density_matrix
 
 
 class ParseError(ValueError):
@@ -67,12 +68,13 @@ def state_to_json(rho) -> dict:
 
 
 def state_from_json(data):
-    """A bare matrix, or a BipartiteState when "dims" is present."""
+    """A validated density matrix: a BipartiteState when "dims" is present."""
     try:
         mat = matrix_from_json(data["matrix"])
         if "dims" in data:
             da, db = (int(x) for x in data["dims"])
             return BipartiteState(mat, da, db)
+        validate_density_matrix(mat)
         return mat
     except ParseError:
         raise

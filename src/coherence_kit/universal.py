@@ -88,7 +88,7 @@ def is_depolarizing(channel: KrausChannel, tol: float = DEPOL_TOL) -> float | No
         return None
     d = channel.dim_in
     c = choi(channel)
-    alpha = bell_basis(d)[0]
+    alpha = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)  # bell_basis(d)[0], built alone
     a = float(np.real(np.vdot(alpha, c @ alpha)))
     p = (a * d * d - 1.0) / (d * d - 1.0)
     lo, hi = p_range(d)

@@ -3,8 +3,6 @@ import pytest
 
 from coherence_kit.channels import (
     BipartiteState,
-    _local_branches,
-    _unit_images,
     ChannelError,
     KrausChannel,
     apply,
@@ -22,13 +20,17 @@ from coherence_kit.channels import (
 from coherence_kit.discord import basis_discord
 from coherence_kit.linalg import DimensionError, eigvals_hermitian, ket, partial_trace, tensor_product
 from coherence_kit.sampling import random_density_matrix, random_unitary, stream
+from coherence_kit.suites import SUITES, run_suite
 
 
 def test_kraus_channel_validates_completeness():
     with pytest.raises(ChannelError):
         KrausChannel((np.eye(2) * 1.5,))
-    with pytest.raises(ChannelError, match="non-finite"):
-        KrausChannel((np.array([[1.0, 0.0], [np.nan, 1.0]]),))
+    # A channel the library derives skips only the completeness eigensolve.
+    assert KrausChannel._built((np.eye(2) * 1.5,)).dim_in == 2
+    for make in (KrausChannel, KrausChannel._built):
+        with pytest.raises(ChannelError, match="non-finite"):
+            make((np.array([[1.0, 0.0], [np.nan, 1.0]]),))
     ch = KrausChannel((np.eye(2) * 0.5,))  # trace-decreasing is fine
     assert not ch.trace_preserving
     assert identity_channel(3).trace_preserving
@@ -122,6 +124,11 @@ def test_pad_trace_preserving_completes_and_is_noop_when_tp():
 def test_bipartite_state_validates():
     with pytest.raises(Exception):
         BipartiteState(np.eye(4), 2, 2)  # trace 4
+    for make in (BipartiteState, BipartiteState._built):
+        with pytest.raises(DimensionError):
+            make(np.eye(4) / 4, 2, 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            make(np.diag([0.5, 0.5, np.nan, 0.0]), 2, 2)
 
 
 def test_kraus_stack_storage():
@@ -132,24 +139,51 @@ def test_kraus_stack_storage():
     assert len(ch) == 2
     np.testing.assert_array_equal(ch.kraus[1], ops[1])
     np.testing.assert_array_equal(np.array(list(ch.kraus)), ch.kraus)
-    with pytest.raises(ChannelError):
-        KrausChannel((np.eye(2), np.eye(3)))
-    with pytest.raises(ChannelError):
-        KrausChannel(())
+    for make in (KrausChannel, KrausChannel._built):
+        with pytest.raises(ChannelError):
+            make((np.eye(2), np.eye(3)))
+        with pytest.raises(ChannelError):
+            make(())
+        with pytest.raises(ChannelError, match="matrices"):
+            make(np.eye(2))
 
 
 def test_bipartite_state_storage():
-    source = random_density_matrix(6, stream(181, 0))
-    kept = source.copy()
-    rho = BipartiteState(source, 2, 3)
-    report = basis_discord(rho)
-    assert not rho.state.flags.writeable and not rho.spectrum.flags.writeable
-    np.testing.assert_array_equal(rho.spectrum, eigvals_hermitian(rho.state))
-    source[0, 1] = source[1, 0] = 0.25
-    np.testing.assert_array_equal(rho.state, kept)
-    assert basis_discord(rho) == report
+    # The validating constructor keeps its validation's spectrum; ``_built``
+    # computes it on first read.  Either way it is the same, bit for bit.
+    for make in (BipartiteState, BipartiteState._built):
+        source = random_density_matrix(6, stream(181, 0))
+        kept = source.copy()
+        rho = make(source, 2, 3)
+        report = basis_discord(rho)
+        assert not rho.state.flags.writeable and not rho.spectrum.flags.writeable
+        np.testing.assert_array_equal(rho.spectrum, eigvals_hermitian(rho.state))
+        source[0, 1] = source[1, 0] = 0.25
+        np.testing.assert_array_equal(rho.state, kept)
+        assert basis_discord(rho) == report
+        with pytest.raises(ValueError):
+            rho.state[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0.0
+
+
+def test_built_objects_pass_full_validation(monkeypatch):
+    # Every suite reports the same when each state and channel the library
+    # derives goes through the validating constructor, and none fails it.
+    def reports():
+        return {
+            name: {k: v for k, v in run_suite(name, trials=20, seed=5).items() if k != "wall_time"}
+            for name in SUITES
+        }
+
+    trusted = reports()
+    for cls in (KrausChannel, BipartiteState):
+        monkeypatch.setattr(cls, "_built", classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs)))
+    with pytest.raises(ChannelError):
+        KrausChannel._built((np.eye(2) * 1.5,))
     with pytest.raises(ValueError):
-        rho.state[0, 0] = 0.0
+        BipartiteState._built(np.eye(4), 2, 2)
+    assert reports() == trusted
 
 
 # Reference actions built from explicit Kronecker products and loops over
@@ -203,9 +237,10 @@ def test_batched_actions_match_loop_reference(case):
     np.testing.assert_allclose(apply(ch, rho), _ref_apply(ch.kraus, rho), rtol=0, atol=1e-12)
     np.testing.assert_allclose(choi(ch), _ref_choi(ch.kraus, d), rtol=0, atol=1e-12)
     np.testing.assert_allclose(unit_images(ch), _ref_unit_images(ch.kraus, np.eye(d)), rtol=0, atol=1e-12)
-    # The raw kernel on a stack with rotated inputs gives the images of E(|b_i><b_j|).
+    # The kernel on a channel with rotated inputs gives the images of E(|b_i><b_j|).
     cols = random_unitary(d, rng)
-    np.testing.assert_allclose(_unit_images(ch.kraus @ cols), _ref_unit_images(ch.kraus, cols), rtol=0, atol=1e-12)
+    rotated = KrausChannel._built(ch.kraus @ cols)
+    np.testing.assert_allclose(unit_images(rotated), _ref_unit_images(ch.kraus, cols), rtol=0, atol=1e-12)
     for side, dims in (("A", (d, 2)), ("B", (3, d))):
         state = BipartiteState(random_density_matrix(dims[0] * dims[1], rng), *dims)
         out = local_apply(ch, state, side)
@@ -227,10 +262,10 @@ def test_local_kernel_matches_kron_reference(case):
     rng = stream(31, 7, sorted(LOCAL_KERNEL_CASES).index(case))
     side, dims, ch = LOCAL_KERNEL_CASES[case](rng)
     rho = random_density_matrix(dims[0] * dims[1], rng)
-    branches = _local_branches(ch.kraus, rho, dims, side)
+    state = BipartiteState(rho, *dims)
+    branches = local_branches(ch, state, side)
     for k, got in zip(ch.kraus, branches):
         np.testing.assert_allclose(got, _ref_local((k,), rho, dims, side), rtol=0, atol=1e-14)
-    state = BipartiteState(rho, *dims)
     np.testing.assert_array_equal(local_apply(ch, state, side).state, branches.sum(axis=0))
 
 

