@@ -17,6 +17,7 @@ from .linalg import (
     CF_GAP_TOL,
     COVARIANCE_TOL,
     GRAM_SCHMIDT_CUTOFF,
+    NEGLIGIBLE_P,
     STRUCTURE_TOL,
     VALIDATION_TOL,
     DimensionError,
@@ -46,14 +47,26 @@ class Basis:
     columns: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.columns, dtype=complex)
+        c = self._store(self.columns)
+        if np.abs(dagger(c) @ c - np.eye(c.shape[0])).max() > VALIDATION_TOL:
+            raise ValueError(f"basis columns are not unitary within {VALIDATION_TOL:.0e}")
+
+    @classmethod
+    def _built(cls, columns) -> "Basis":
+        """A basis from a unitary the library made, unitary by construction:
+        stored and checked as by the constructor, less its unitarity test."""
+        self = object.__new__(cls)
+        self._store(columns)
+        return self
+
+    def _store(self, columns) -> np.ndarray:
+        c = np.asarray(columns, dtype=complex)
         object.__setattr__(self, "columns", c)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise DimensionError("basis must be a square matrix of column vectors")
         if not np.isfinite(c).all():
             raise ValueError("basis has a non-finite entry")
-        if np.abs(dagger(c) @ c - np.eye(c.shape[0])).max() > VALIDATION_TOL:
-            raise ValueError(f"basis columns are not unitary within {VALIDATION_TOL:.0e}")
+        return c
 
     @classmethod
     def computational(cls, dim: int) -> "Basis":
@@ -416,23 +429,125 @@ def rel_ent_coherence(rho: np.ndarray, basis: Basis | None = None) -> float:
     return diagonal_entropy(r) - entropy(r)
 
 
+# C_f iteration cap.  The safeguarded Newton iteration ends in a handful of
+# steps (at most 12 on seeded full-rank d = 2-4 states, 55 on rank-2 ones);
+# the cap bounds the iterations where only the multiplicative point gains.
 CF_MAX_ITER = 5000
+# Newton line search (``_cf_newton_point``): the Armijo fraction of the
+# predicted gain, and the fraction of the way to the floor after a rejected
+# trial there.
+CF_ARMIJO = 0.25
+CF_BOUNDARY_FRACTION = 0.9
+
+
+def _cf_point(w: np.ndarray, root: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """F(w) = ||diag(w)^{1/2} sqrt(rho)||_1 with the data of its derivatives:
+    the singular values sigma_k whose squares are above the fidelity's noise
+    floor, and u = sqrt(rho) V over their right singular vectors v_k."""
+    _, sv, vh = np.linalg.svd(np.sqrt(w)[:, None] * root)
+    keep = above_noise_floor(sv**2)
+    return float(np.sum(sv)), sv[keep], root @ dagger(vh[keep])
+
+
+def _cf_gradient(s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """dF_i = 1/2 sum_k |u_ik|^2 / sigma_k."""
+    return 0.5 * (np.abs(u) ** 2) @ (1.0 / s)
+
+
+def _cf_hessian(s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """d^2F_ij = sum_kl g_kl p_ikl conj(p_jkl) with p_ikl = conj(u_ik) u_il and
+    g_kl = -1 / (2 sigma_k sigma_l (sigma_k + sigma_l)), the divided difference
+    of d sqrt(x)/dx at sigma_k^2 and sigma_l^2 (Daleckii-Krein)."""
+    d, r = u.shape
+    p = (u.conj()[:, :, None] * u[:, None, :]).reshape(d, r * r)
+    g = -0.5 / (s[:, None] * s[None, :] * (s[:, None] + s[None, :]))
+    return np.real((p * g.reshape(-1)) @ dagger(p))
+
+
+def _cf_newton_direction(w: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray | None:
+    """Maximiser of the quadratic model of F over the simplex directions that
+    move only the free weights: those above NEGLIGIBLE_P, and those at it
+    whose dF_i exceeds w . dF.  A weight at the floor that the solution would
+    push down is fixed there and the bordered KKT system solved again."""
+    free = (w > NEGLIGIBLE_P) | (grad > w @ grad)
+    while np.count_nonzero(free) >= 2:
+        n = int(np.count_nonzero(free))
+        kkt = np.ones((n + 1, n + 1))
+        kkt[n, n] = 0.0
+        kkt[:n, :n] = hess[np.ix_(free, free)]
+        try:
+            sol = np.linalg.solve(kkt, np.append(-grad[free], 0.0))
+        except np.linalg.LinAlgError:
+            return None
+        step = np.zeros_like(w)
+        step[free] = sol[:n]
+        stuck = free & (w <= NEGLIGIBLE_P) & (step < 0.0)
+        if not stuck.any():
+            return step
+        free &= ~stuck
+    return None
+
+
+def _cf_newton_point(
+    w: np.ndarray, f: float, grad: np.ndarray, hess: np.ndarray, root: np.ndarray, rank: int
+) -> tuple[np.ndarray, tuple[float, np.ndarray, np.ndarray], bool] | None:
+    """The safeguarded Newton point from w, as ``(trial, _cf_point(trial),
+    tested)``, or None when the step is no ascent or every trial fails.
+
+    The first trial goes as far as the first shrinking weight meeting the
+    floor NEGLIGIBLE_P, or the full step when none does; after a rejected
+    trial at the floor the next goes CF_BOUNDARY_FRACTION of the way, and
+    each later one half as far.  A trial is accepted when F gains at least
+    CF_ARMIJO of the gain the slope predicts and as many singular values
+    count as at the start (``rank``).  A trial whose predicted gain is at
+    most CF_GAP_TOL is below what a comparison of F resolves, so it is
+    accepted untested.
+    """
+    step = _cf_newton_direction(w, grad, hess)
+    if step is None:
+        return None
+    slope = float(grad @ step)
+    if not (np.isfinite(slope) and slope > 0.0):
+        return None
+    shrink = step < 0.0
+    reach = float(np.min(w[shrink] / -step[shrink])) if shrink.any() else np.inf
+    alpha = min(1.0, reach)
+    while True:
+        trial = w + alpha * step
+        trial[shrink] = np.maximum(trial[shrink], NEGLIGIBLE_P)
+        trial /= np.sum(trial)
+        point = _cf_point(trial, root)
+        tested = alpha * slope > CF_GAP_TOL
+        if point[1].size >= rank and (not tested or point[0] >= f + CF_ARMIJO * alpha * slope):
+            return trial, point, tested
+        if not tested:
+            return None
+        alpha = CF_BOUNDARY_FRACTION * reach if alpha == reach else 0.5 * alpha
 
 
 def fidelity_coherence_report(rho: np.ndarray, basis: Basis | None = None) -> dict:
     """Fidelity measure of coherence, min over incoherent sigma of 1 - F, with
     a certificate.
 
-    F(rho, diag w) = ||diag(w)^{1/2} sqrt(rho)||_1 is concave in the weights
-    w, so the KKT fixed point w_i <- w_i dF_i / sum_j w_j dF_j, started at the
-    dephased diagonal, climbs to the maximum.  With sigma_k, v_k the singular
-    values and right singular vectors of diag(w)^{1/2} sqrt(rho),
-    dF_i = 1/2 sum_k |<i|sqrt(rho)|v_k>|^2 / sigma_k over the sigma_k^2 above
-    the fidelity's noise floor.  The Frank-Wolfe gap max_i dF_i - sum_i w_i dF_i
-    bounds F* - F(w), so the true C_f lies in ``[lower_bound, value]``.  The
-    vertices w = e_i, where F = sqrt(rho_ii), are candidates too.  For a state
-    of rank 1 the best vertex is the optimum, 1 - max_i sqrt(rho_ii), and it is
-    returned at once with a zero gap.
+    F(w) = F(rho, diag w) = ||diag(w)^{1/2} sqrt(rho)||_1 is concave in the
+    weights w, so a climb from the dephased diagonal reaches its maximum over
+    the simplex.  With sigma_k, v_k the singular values and right singular
+    vectors of diag(w)^{1/2} sqrt(rho) and u_ik = <i|sqrt(rho)|v_k>, over the
+    sigma_k^2 above the fidelity's noise floor, dF_i = 1/2 sum_k |u_ik|^2 /
+    sigma_k and the Hessian follows from the same SVD (``_cf_hessian``).
+
+    Each iteration takes a Newton step over the simplex with a
+    boundary-limited Armijo line search (``_cf_newton_point``), and keeps the
+    better of that point and the multiplicative point w_i dF_i / w . dF, the
+    KKT fixed-point iteration; so no tested step does worse than the fixed
+    point would.  A Newton step too small to test by F is taken as it is:
+    near the optimum the gap closes with the gradient, quadratically.
+
+    The Frank-Wolfe gap max_i dF_i - sum_i w_i dF_i bounds F* - F(w), so the
+    true C_f lies in ``[lower_bound, value]``.  The vertices w = e_i, where
+    F = sqrt(rho_ii), are candidates too.  For a state of rank 1 the best
+    vertex is the optimum, 1 - max_i sqrt(rho_ii), and it is returned at once
+    with a zero gap.
 
     Returns ``value`` (the best 1 - F found), ``lower_bound``, ``gap``,
     ``iterations`` and ``converged`` (gap <= CF_GAP_TOL within the iteration
@@ -451,17 +566,26 @@ def fidelity_coherence_report(rho: np.ndarray, basis: Basis | None = None) -> di
         bound = best
     else:
         root = matrix_function(r, "sqrt")
+        f, s, u = _cf_point(w, root)
+        # A point where fewer singular values count than here has lost a
+        # direction of the support, and its dF would miss that direction's
+        # infinite slope.
+        rank = s.size
         while True:
-            _, sv, vh = np.linalg.svd(np.sqrt(w)[:, None] * root)
-            keep = above_noise_floor(sv**2)
-            grad = 0.5 * (np.abs(root @ dagger(vh[keep])) ** 2) @ (1.0 / sv[keep])
-            f = float(np.sum(sv))
-            bound = min(bound, f + float(np.max(grad) - w @ grad))
+            grad = _cf_gradient(s, u)
+            mean = float(w @ grad)
+            bound = min(bound, f + float(np.max(grad)) - mean)
             best = max(best, f)
             if bound - best <= CF_GAP_TOL or iterations == CF_MAX_ITER:
                 break
-            w = w * grad
-            w = w / np.sum(w)
+            chosen = _cf_newton_point(w, f, grad, _cf_hessian(s, u), root, rank)
+            if chosen is None or chosen[2]:
+                m = w * grad
+                m /= np.sum(m)
+                mult = (m, _cf_point(m, root))
+                if chosen is None or mult[1][0] >= chosen[1][0]:
+                    chosen = mult
+            w, (f, s, u) = chosen[:2]
             iterations += 1
     value = max(0.0, 1.0 - best)
     gap = max(0.0, bound - best)

@@ -21,7 +21,8 @@ SUPPORT_CUTOFF         1e-12   An eigenvalue <= it is kernel: dropped from entro
 LEAK_TOL               1e-10   Relative entropy is inf when rho's weight on sigma's kernel is > it.
 NOISE_FLOOR            64 eps  An eigenvalue <= it * max(1, lambda_max) is zero in the fidelity;
                                also the floor and rounding slack of the recovery certificate.
-NEGLIGIBLE_P           1e-12   A branch or block of probability <= it is dropped.
+NEGLIGIBLE_P           1e-12   A branch or block of probability <= it is dropped; a C_f weight <= it
+                               is at the floor of the simplex.
 STRUCTURE_TOL          1e-8    A Kraus entry is significant when > it * the largest; a channel
                                commutes with dephasing (so has no J witness) when its deviation
                                is <= it.
@@ -35,7 +36,8 @@ DEPOL_TOL              1e-8    Default tol: depolarizing and isotropic fits pass
 PHASE_ANCHOR_TOL       1e-8    ``isotropic_decompose`` fixes the phase on the first entry > it.
 ISOTROPIC_ACTION_TOL   1e-7    ``isotropic_decompose`` accepts an action residual <= max(tol, it).
 ISOTROPIC_UNITARY_TOL  1e-6    ``isotropic_decompose`` rejects a polar factor off unitary by > it.
-CF_GAP_TOL             1e-10   C_f converged: its certified gap is <= it.
+CF_GAP_TOL             1e-10   C_f converged: its certified gap is <= it; a C_f Newton step whose
+                               predicted gain is <= it is taken untested.
 RECOVERY_GAP_TOL       1e-8    Recoverability converged: value - lower_bound is <= it.
 EQUAL_STATE_TOL        1e-7    Zero-discord split: A indices link through a B-block entry > it;
                                success when the residual is <= it.

@@ -125,7 +125,7 @@ def every_basis_falsifier(
     check_tolerance(tol)
     d = channel.dim_in
     for trial in range(n_bases):
-        b = Basis(random_unitary(d, stream(seed, 61, d, trial)))
+        b = Basis._built(random_unitary(d, stream(seed, 61, d, trial)))
         if dephasing_commutant_deviation(channel, b) > tol:
             return b
     return None

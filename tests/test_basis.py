@@ -29,7 +29,7 @@ from coherence_kit.discord import (
     recoverability,
     zero_discord_decompose,
 )
-from coherence_kit.linalg import dagger, dephase_subsystem, tensor_product
+from coherence_kit.linalg import DimensionError, dagger, dephase_subsystem, tensor_product
 from coherence_kit.sampling import random_density_matrix, random_unitary, stream
 from coherence_kit.universal import depolarizing_channel
 
@@ -177,6 +177,23 @@ def test_j_witness_is_covariant(d):
 def test_basis_rejects_non_finite_columns(bad):
     with pytest.raises(ValueError, match="non-finite"):
         Basis([[bad, 0.0], [0.0, 1.0]])
+
+
+def test_built_basis_keeps_shape_and_finiteness_checks():
+    # ``Basis._built`` takes a unitary the library drew: it stores the columns
+    # as the constructor does, rejects bad shapes and non-finite entries, and
+    # skips only the unitarity test.
+    u = random_unitary(3, stream(212, 0))
+    np.testing.assert_array_equal(Basis._built(u).columns, Basis(u).columns)
+    stretched = u * np.array([2.0, 1.0, 1.0])
+    assert Basis._built(stretched).dim == 3
+    with pytest.raises(ValueError, match="unitary"):
+        Basis(stretched)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            Basis._built([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(DimensionError):
+        Basis._built(np.eye(3)[:, :2])
 
 
 def test_classification_rejects_bad_tolerance():
