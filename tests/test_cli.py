@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,17 +31,25 @@ NON_SI = KrausChannel(
 )
 
 
-def run_cli(*args, env=None):
-    import os
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+
+def child_env(extra=None):
+    """The environment of a child interpreter, with this checkout's ``src``
+    first on PYTHONPATH: pytest's ``pythonpath`` setting reaches only its
+    own process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env.update(extra or {})
+    return env
+
+
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "coherence_kit.cli", *args],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(env),
     )
 
 
@@ -231,7 +241,7 @@ def test_import_loads_no_scipy():
         "import sys, coherence_kit, coherence_kit.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env())
     assert res.stdout.strip() == "[]"
 
 

@@ -470,19 +470,56 @@ def test_memory_trial_sides_certified():
         _assert_certified(after, extended, "trace")
 
 
+def _recover_memory_state(t):
+    """Trial t of `suite recover-memory --seed 5`, after the channel: (the
+    extended state, the number of outcomes)."""
+    rng = stream(5, 109, t)
+    rho = BipartiteState(random_density_matrix(4, rng), 2, 2)
+    e = random_si_channel(2, int(rng.integers(1, 4)), seed=5, index=t)
+    return local_apply(with_memory(e), rho, "A"), len(e)
+
+
 def test_trace_solve_converges_on_memory_trials_that_stopped_at_the_cap():
     # Trials 2, 4, 17 and 18 of `suite recover-memory --seed 5`: the side
     # after the channel, where the former first-order solve stopped at its
     # 2000-iteration cap.
     for t, dim_a in ((2, 6), (4, 6), (17, 4), (18, 4)):
-        rng = stream(5, 109, t)
-        rho = BipartiteState(random_density_matrix(4, rng), 2, 2)
-        e = random_si_channel(2, int(rng.integers(1, 4)), seed=5, index=t)
-        extended = local_apply(with_memory(e), rho, "A")
+        extended, _ = _recover_memory_state(t)
         assert extended.dim_a == dim_a
         res = recoverability(extended, budget=1)
         assert res["converged"] and 0 < res["iterations"] <= 30
         _assert_certified(res, extended, "trace")
+
+
+def test_a_groups_of_a_memory_state_are_its_memory_blocks():
+    for t in (2, 4, 17, 18):
+        extended, outcomes = _recover_memory_state(t)
+        groups = discord._a_groups(extended.state, extended.dim_a, extended.dim_b, 0.0)
+        assert outcomes > 1
+        assert groups == [[2 * mu, 2 * mu + 1] for mu in range(outcomes)]
+
+
+@pytest.mark.parametrize("dim_a", [2, 3])
+def test_a_groups_of_a_generic_state_is_one_group(dim_a):
+    for t in range(5):
+        rho = random_density_matrix(2 * dim_a, stream(197, dim_a, t))
+        assert discord._a_groups(rho, dim_a, 2, 0.0) == [list(range(dim_a))]
+
+
+def test_split_trace_solve_matches_the_unsplit_solve(monkeypatch):
+    # The solve over the memory blocks and the solve over all of A (the
+    # grouping forced to one group) bracket the same optimum.
+    states = [_recover_memory_state(t)[0] for t in (2, 4, 17, 18)]
+    split = [recoverability(extended, budget=1) for extended in states]
+    monkeypatch.setattr(discord, "_a_groups", lambda mat, da, db, tol: [list(range(da))])
+    whole = [recoverability(extended, budget=1) for extended in states]
+    for extended, a, b in zip(states, split, whole):
+        assert extended.dim_a in (4, 6)
+        for res in (a, b):
+            assert res["converged"]
+            _assert_certified(res, extended, "trace")
+        assert abs(a["value"] - b["value"]) <= discord.RECOVERY_GAP_TOL
+        assert a["lower_bound"] <= b["value"] and b["lower_bound"] <= a["value"]
 
 
 def test_trace_solve_ends_cleanly_where_the_gap_cannot_close(monkeypatch):
