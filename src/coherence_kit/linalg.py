@@ -20,7 +20,8 @@ SUPPORT_CUTOFF         1e-12   An eigenvalue <= it is kernel: dropped from entro
                                and inv_sqrt; in recovery the support of rho and the tangent floor.
 LEAK_TOL               1e-10   Relative entropy is inf when rho's weight on sigma's kernel is > it.
 NOISE_FLOOR            64 eps  An eigenvalue <= it * max(1, lambda_max) is zero in the fidelity;
-                               also the floor and rounding slack of the recovery certificate.
+                               also the floor and rounding slack of the recovery certificate; a
+                               barrier step that moves no entry of omega by > it ends the path.
 NEGLIGIBLE_P           1e-12   A branch or block of probability <= it is dropped; a C_f weight <= it
                                is at the floor of the simplex.
 STRUCTURE_TOL          1e-8    A Kraus entry is significant when > it * the largest; a channel

@@ -603,6 +603,165 @@ def test_recoverability_starts_at_padded_petz_channel():
             _assert_certified(res, rho, metric)
 
 
+def _fista_recoverability(rho, metric, maxiter=2000):
+    """The former smooth solver as an oracle: FISTA over the product of
+    spectraplexes from the best of the Petz channel and the identity, with
+    the momentum reset when a step points uphill and a step redone half as
+    long when its change of gradient outruns its change of coordinates.
+    Fidelity steps in omega and projects back onto the states; relative
+    entropy steps in log(omega), 1% of the way to I/d_A at the start
+    (entropic mirror descent).  Scored every 10 iterations by the library's
+    certificate.  Returns (value, converged)."""
+    da = rho.dim_a
+    sigma = dephase_subsystem(rho.state, rho.dims, 0)
+    problem = _RecoveryProblem(metric, rho, sigma)
+    starts = [_prepared_states(petz_recover(rho)[0].kraus), np.eye(da)[:, :, None] * np.eye(da)[:, None, :]]
+    values = [problem.distance_to(problem.link(omega)) for omega in starts]
+    best = discord._Incumbent(problem, min(values))
+    entropic = metric == "rel_ent"
+
+    def exp_states(h):
+        mu, v = np.linalg.eigh(h)
+        weights = np.exp(mu - mu[:, -1:])
+        return (v * (weights / weights.sum(axis=1, keepdims=True))[:, None, :]) @ dagger(v)
+
+    def traceless(m):
+        return m - np.trace(m, axis1=1, axis2=2)[:, None, None] / da * np.eye(da)
+
+    to_states = exp_states if entropic else _project_states
+
+    def point(u):
+        omega = to_states(u)
+        x = problem.link(omega)
+        c, g = problem.minorant(x, None)
+        return omega, x, c, problem.adjoint(g), u if entropic else omega
+
+    u = starts[int(np.argmin(values))]
+    if entropic:
+        lam, v = np.linalg.eigh(0.99 * u + 0.01 * np.eye(da) / da)
+        u = (v * np.log(lam)[:, None, :]) @ dagger(v)
+    tau, momentum, iterations = 3.0 / np.sqrt(da), 1.0, 0
+    here = previous = point(u)
+    while True:
+        if iterations % 10 == 0 or iterations >= maxiter:
+            if best.score(*here[:4]) or iterations >= maxiter:
+                break
+        iterations += 1
+        following = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
+        base = here
+        if momentum > 1.0:
+            base = point(here[4] + (momentum - 1.0) / following * (here[4] - previous[4]))
+        trial = point(base[4] - tau * traceless(base[3]))
+        moved, turned, stepped = trial[0] - base[0], traceless(trial[3] - base[3]), trial[4] - base[4]
+        rounding = discord.NOISE_FLOOR * (tau * np.linalg.norm(turned) + np.linalg.norm(stepped))
+        if tau * np.real(np.vdot(turned, moved)) - np.real(np.vdot(stepped, moved)) > rounding:
+            tau *= 0.5
+            continue
+        tau *= 1.1
+        momentum = 1.0 if np.real(np.vdot(base[3], trial[0] - here[0])) > 0.0 else following
+        previous, here = here, trial
+    return max(0.0, best.value), best.closed
+
+
+def _smooth_panel():
+    """Seeded 2x2, 3x2 and 2x3 states, 4 of each."""
+    for da, db in ((2, 2), (3, 2), (2, 3)):
+        for t in range(4):
+            yield BipartiteState(random_density_matrix(da * db, stream(211, da, db, t)), da, db)
+
+
+@pytest.mark.parametrize("metric", ["one_minus_fidelity", "rel_ent"])
+def test_barrier_newton_converges_below_the_fista_oracle(metric):
+    # On these states the barrier solve took 14-27 Newton steps; the former
+    # first-order solve took tens to hundreds of iterations.
+    for rho in _smooth_panel():
+        res = recoverability(rho, metric=metric, budget=1)
+        assert res["converged"] and 0 < res["iterations"] <= 40, (rho.dims, res["iterations"])
+        _assert_certified(res, rho, metric)
+        oracle, oracle_converged = _fista_recoverability(rho, metric)
+        if oracle_converged:
+            assert res["value"] <= oracle + discord.RECOVERY_GAP_TOL
+
+
+@pytest.mark.parametrize("metric", ["one_minus_fidelity", "rel_ent"])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+def test_smooth_recovery_derivatives_match_central_differences(metric, dims):
+    # The metric at L(omega) over the traceless directions T_k at slot i:
+    # the gradient L^*(g) against differences of the value, the Hessian
+    # against differences of the gradient, both with step 1e-5.
+    da, db = dims
+    h = 1e-5
+    dense = discord._hermitian_basis(da)[4]
+    basis = np.hstack([dense[:, : da - 1] - dense[:, da - 1 : da], dense[:, da:]])
+    size = basis.shape[1]
+    # T_k at slot i, for every (i, k).
+    slots = np.eye(da)[:, None, :, None, None]
+    directions = (slots * basis.T.reshape(size, da, da)[None, :, None]).reshape(-1, da, da, da)
+    for t in range(3):
+        rng = stream(223, da, db, t)
+        rho = BipartiteState(random_density_matrix(da * db, rng), da, db)
+        problem = _RecoveryProblem(metric, rho, dephase_subsystem(rho.state, rho.dims, 0))
+        omega = np.stack([0.5 * random_density_matrix(da, rng) + 0.5 * np.eye(da) / da for _ in range(da)])
+
+        def value(w):
+            return problem.tangent(problem.link(w))[0]
+
+        def gradient(w):
+            grad = problem.adjoint(problem.tangent(problem.link(w))[2])
+            return np.real(grad.reshape(da, -1) @ basis.conj()).reshape(-1)
+
+        spectral = problem.tangent(problem.link(omega))[3]
+        grad, hess = gradient(omega), problem.hessian(spectral, basis)
+        fd_grad = np.array([(value(omega + h * e) - value(omega - h * e)) / (2 * h) for e in directions])
+        fd_hess = np.array([(gradient(omega + h * e) - gradient(omega - h * e)) / (2 * h) for e in directions])
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-5, atol=1e-5 * np.abs(hess).max())
+        np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12 * np.abs(hess).max())
+        assert np.linalg.eigvalsh(hess).min() >= -1e-12 * np.abs(hess).max()
+
+
+@pytest.mark.parametrize("metric", ["one_minus_fidelity", "rel_ent"])
+def test_barrier_solve_ends_cleanly_where_the_gap_cannot_close(metric, monkeypatch):
+    # With a gap tolerance of 0, mu keeps falling until a step is lost in
+    # rounding; the solve stops there, unconverged and certified.
+    monkeypatch.setattr(discord, "RECOVERY_GAP_TOL", 0.0)
+    for dims in ((2, 2), (3, 2)):
+        rho = BipartiteState(random_density_matrix(dims[0] * dims[1], stream(191, 7)), *dims)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = recoverability(rho, metric=metric, budget=1)
+        assert not res["converged"] and 0 < res["iterations"] < 100
+        assert res["value"] - res["lower_bound"] <= 1e-10
+        _assert_certified(res, rho, metric)
+
+
+def test_smooth_recovery_edge_inputs_raise_no_warnings():
+    # Rank-deficient rho; a 2 x 3 state whose B level 2 is empty, so that
+    # rho_B and every recovered X = L(omega) are singular; and zero-discord
+    # states, certified before any step.
+    states = []
+    for t in range(2):
+        for dims in ((2, 2), (3, 2)):
+            rng = stream(227, *dims, t)
+            states.append(BipartiteState(random_density_matrix(dims[0] * dims[1], rng, rank=1 + t), *dims))
+        mat = np.zeros((6, 6), dtype=complex)
+        kept = [0, 1, 3, 4]
+        mat[np.ix_(kept, kept)] = random_density_matrix(4, stream(229, t))
+        states.append(BipartiteState(mat, 2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric in ("one_minus_fidelity", "rel_ent"):
+            for rho in states:
+                res = recoverability(rho, metric=metric, budget=1)
+                assert res["converged"] and res["iterations"] <= 40, (rho.dims, res["iterations"])
+                _assert_certified(res, rho, metric)
+            for dim_a in (2, 3):
+                rho = random_zero_discord_state(dim_a, 2, seed=233)
+                res = recoverability(rho, metric=metric, budget=1)
+                assert res["converged"] and res["iterations"] == 0
+                _assert_certified(res, rho, metric)
+
+
 def _memory_trial_states(seed, count):
     """(rho, SI channel, state after the channel with its outcome recorded) on 2 x 2."""
     for t in range(count):
