@@ -23,7 +23,7 @@ from .channels import (
     unit_images,
     with_memory,
 )
-from .coherence import Basis, classify_channel, classify_kraus, rel_ent_coherence
+from .coherence import Basis, classify_channel, classify_kraus
 from .linalg import (
     DISCORD_IDENTITY_TOL,
     EQUAL_STATE_TOL,
@@ -41,13 +41,13 @@ from .linalg import (
     check_tolerance,
     dagger,
     dephase_subsystem,
-    diagonal_entropy,
     distance,
-    entropy,
+    eigvals_hermitian,
     ket,
     matrix_function,
     partial_trace,
     projector,
+    spectrum_entropies,
     spectrum_entropy,
     tensor_product,
     trace_distance,
@@ -57,21 +57,21 @@ from .sampling import random_density_matrix, stream
 LN2 = math.log(2.0)
 
 
-def _dephase_a(rho: BipartiteState) -> BipartiteState:
-    """Local dephasing of side A in the computational basis."""
-    return BipartiteState._built(dephase_subsystem(rho.state, rho.dims, 0), rho.dim_a, rho.dim_b)
+def _dephase_a(states: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Local dephasing of side A in the computational basis, of a d_A d_B
+    matrix or of each matrix of a stack."""
+    return dephase_subsystem(states, (dim_a, dim_b), 0)
 
 
 def mutual_information(rho: BipartiteState) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB), in bits; S(AB) from ``rho.spectrum``."""
-    return entropy(rho.marginal("A")) + entropy(rho.marginal("B")) - spectrum_entropy(rho.spectrum)
+    """I(A:B) = S(A) + S(B) - S(AB), in bits: the field of ``basis_discord``."""
+    return basis_discord(rho).mutual_information
 
 
 def classical_correlations(rho: BipartiteState, basis: Basis | None = None) -> float:
-    """Mutual information surviving dephasing of A: J(B|A) = I(A:B) after Phi_A."""
-    if basis is not None:
-        rho = basis.to_coords_a(rho)
-    return mutual_information(_dephase_a(rho))
+    """Mutual information surviving dephasing of A: J(B|A) = I(A:B) after
+    Phi_A, the field of ``basis_discord``."""
+    return basis_discord(rho, basis).classical_correlations
 
 
 @dataclass(frozen=True)
@@ -94,52 +94,82 @@ class DiscordReport:
         }
 
 
+def _discord_stack(states: np.ndarray, dim_a: int, dim_b: int, joint: np.ndarray | None = None) -> tuple:
+    """The arrays (I, J, delta, C(A), C(B|A)) of a stack (s, n, n) of
+    d_A x d_B states, each in A's coordinates.
+
+    I = S(A) + S(B) - S(AB) is taken from each state rho and J from its
+    dephased copy Phi_A(rho) the same way; C(A) = H(diag rho_A) - S(A) and
+    the conditional coherence C(B|A) = S(Phi_A(rho)) - S(rho).  That takes
+    three checked eigensolves of a stack: the joint states with the
+    dephased ones (only the dephased when ``joint`` holds the joint
+    spectra), the A marginals (for S(A) and C(A) both) and the B marginals
+    of rho and of Phi_A(rho).  The A marginal of Phi_A(rho) is diagonal, so
+    its entropy is that of its sorted diagonal.  Entropies are
+    ``spectrum_entropies`` rows, bit for bit those of ``spectrum_entropy``.
+    The identity delta = C(B|A) - C(A), asserted per state as a numerical
+    cross-check, holds only if Phi_A leaves rho_B and the diagonal of rho_A
+    unchanged, so a dephasing of the wrong side or in the wrong coordinates
+    breaks it.  An InvariantError names the state by its index in the stack.
+    """
+    s, dims = len(states), (dim_a, dim_b)
+    both = np.concatenate([states, _dephase_a(states, dim_a, dim_b)])
+    spectra = eigvals_hermitian(both) if joint is None else np.concatenate([joint, eigvals_hermitian(both[s:])])
+    s_ab, s_dephased = spectrum_entropies(spectra).reshape(2, s)
+    # rho_A, then the A marginal of Phi_A(rho).
+    marginals_a = partial_trace(both, dims, "A")
+    diagonals = np.sort(np.real(np.diagonal(marginals_a, axis1=1, axis2=2)), axis=1)
+    spectra_a = np.concatenate([eigvals_hermitian(marginals_a[:s]), diagonals])
+    s_a, h_a, h_dephased_a = spectrum_entropies(spectra_a).reshape(3, s)
+    s_b, s_b_dephased = spectrum_entropies(eigvals_hermitian(partial_trace(both, dims, "B"))).reshape(2, s)
+    i = s_a + s_b - s_ab
+    j = h_dephased_a + s_b_dephased - s_dephased
+    delta = i - j
+    c_a = h_a - s_a
+    c_cond = s_dephased - s_ab
+    broken = np.abs(delta - (c_cond - c_a)) > DISCORD_IDENTITY_TOL
+    if broken.any():
+        k = int(np.argmax(broken))
+        raise InvariantError(
+            f"discord identity violated at state {k}: I - J = {delta[k]:.3e}, "
+            f"C(B|A) - C(A) = {c_cond[k] - c_a[k]:.3e}"
+        )
+    negative = delta < -NEGATIVE_DISCORD_TOL
+    if negative.any():
+        k = int(np.argmax(negative))
+        raise InvariantError(f"negative discord {delta[k]:.3e} at state {k}")
+    return i, j, delta, c_a, c_cond
+
+
 def basis_discord(rho: BipartiteState, basis: Basis | None = None) -> DiscordReport:
     """Full correlation report: I, J, delta = I - J, C(A) and C(B|A).
 
-    The conditional coherence is the entropy cost of dephasing A inside the
-    joint state, C(B|A) = S(Phi_A(rho)) - S(rho).  I = S(A) + S(B) - S(AB)
-    is taken from rho and J from the dephased state Phi_A(rho) the same way.
-    The joint entropies S(AB) and S(Phi_A(rho)) are read from the two states'
-    ``spectrum`` (one eigensolve each, at most); S(A), S(B) and the B
-    marginal of Phi_A(rho) take one eigensolve each; the A marginal of
-    Phi_A(rho) is diagonal, so its entropy comes from ``diagonal_entropy``.
-    C(A) is computed apart, by ``rel_ent_coherence`` on rho_A.  The identity
-    delta = C(B|A) - C(A), asserted as a numerical cross-check, then holds
-    only if Phi_A leaves rho_B and the diagonal of rho_A unchanged, so a
-    dephasing of the wrong side or in the wrong coordinates breaks it.
+    The one-state case of ``_discord_stack``, which asserts delta = C(B|A)
+    - C(A).  S(AB) is read from ``rho.spectrum``, so a call makes three
+    checked eigensolves (the dephased state, rho_A, and rho_B with the B
+    marginal of Phi_A(rho)), and a fourth where that spectrum is not yet
+    known (a library-built state read for the first time).
     """
     if basis is not None:
         rho = basis.to_coords_a(rho)
-    dephased = _dephase_a(rho)
-    marginal_a = rho.marginal("A")
-    s_ab, s_dephased = spectrum_entropy(rho.spectrum), spectrum_entropy(dephased.spectrum)
-    i = entropy(marginal_a) + entropy(rho.marginal("B")) - s_ab
-    j = diagonal_entropy(dephased.marginal("A")) + entropy(dephased.marginal("B")) - s_dephased
-    delta = i - j
-    c_a = rel_ent_coherence(marginal_a)
-    c_cond = s_dephased - s_ab
-    if abs(delta - (c_cond - c_a)) > DISCORD_IDENTITY_TOL:
-        raise InvariantError(
-            f"discord identity violated: I - J = {delta:.3e}, "
-            f"C(B|A) - C(A) = {c_cond - c_a:.3e}"
-        )
-    if delta < -NEGATIVE_DISCORD_TOL:
-        raise InvariantError(f"negative discord {delta:.3e}")
-    return DiscordReport(i, j, delta, c_a, c_cond)
+    fields = _discord_stack(rho.state[None], rho.dim_a, rho.dim_b, rho.spectrum[None])
+    return DiscordReport(*(float(f[0]) for f in fields))
 
 
 def _petz_channel(rho_a: np.ndarray) -> KrausChannel:
     """The transpose channel undoing dephasing on the marginal rho_a, Kraus
     operators rho_a^{1/2} P_i sigma^{-1/2} (sigma dephased, P_i computational),
-    with sigma's kernel projector appended so that it is trace-preserving."""
+    with sigma's kernel projector appended so that it is trace-preserving.
+    sigma is the diagonal of rho_a: sigma^{-1/2} is 1/sqrt on the entries
+    above SUPPORT_CUTOFF and 0 elsewhere, as ``matrix_function`` gives it,
+    without an eigensolve (rho_a's own PSD check bounds the diagonal)."""
     rho_a = np.asarray(rho_a, dtype=complex)
-    d = rho_a.shape[0]
-    projectors = [projector(ket(i, d)) for i in range(d)]
-    sigma = sum(p @ rho_a @ p for p in projectors)
+    sigma = np.real(np.diagonal(rho_a))
+    support = sigma > SUPPORT_CUTOFF
+    inv_root = np.zeros(len(sigma))
+    inv_root[support] = 1.0 / np.sqrt(sigma[support])
     root = matrix_function(rho_a, "sqrt")
-    inv_root = matrix_function(sigma, "inv_sqrt")
-    return pad_trace_preserving(KrausChannel._built(np.array([root @ p @ inv_root for p in projectors])))
+    return pad_trace_preserving(KrausChannel._built(root * np.eye(len(sigma))[:, None, :] * inv_root))
 
 
 def petz_recover(rho: BipartiteState, basis: Basis | None = None):
@@ -150,7 +180,7 @@ def petz_recover(rho: BipartiteState, basis: Basis | None = None):
     """
     work = rho if basis is None else basis.to_coords_a(rho)
     petz = _petz_channel(work.marginal("A"))
-    recovered = local_apply(petz, _dephase_a(work), "A")
+    recovered = local_apply(petz, BipartiteState._built(_dephase_a(work.state, *work.dims), *work.dims), "A")
     if basis is None:
         return petz, recovered
     return KrausChannel._built(basis.from_coords(petz.kraus)), basis.from_coords_a(recovered)
@@ -280,7 +310,11 @@ def ensemble_monotonicity_trial(
     """Outcome-averaged measure after an SI channel on A versus before.
 
     lhs = sum_mu p_mu M(rho^mu), rhs = M(rho), with M = J or delta taken
-    per Kraus outcome; passes when lhs <= rhs + MONOTONE_SLACK.
+    per Kraus outcome; passes when lhs <= rhs + MONOTONE_SLACK.  Branches
+    of probability <= NEGLIGIBLE_P are dropped; M of the input and of the
+    normalised branches left comes from one ``_discord_stack`` call on
+    [rho, rho^1, rho^2, ...], so an InvariantError's state k >= 1 is the
+    k-th branch kept.
     """
     if kind not in ("J", "delta"):
         raise ValueError(f"kind must be 'J' or 'delta', got {kind!r}")
@@ -290,17 +324,14 @@ def ensemble_monotonicity_trial(
     if basis is not None:
         rho = basis.to_coords_a(rho)
 
-    def measure(state: BipartiteState) -> float:
-        rep = basis_discord(state)
-        return rep.classical_correlations if kind == "J" else rep.basis_discord
-
-    rhs = measure(rho)
+    branches = local_branches(work, rho, "A")
+    p = np.real(np.trace(branches, axis1=1, axis2=2))
+    kept = p > NEGLIGIBLE_P
+    states = np.concatenate([rho.state[None], branches[kept] / p[kept, None, None]])
+    rhs, *after = _discord_stack(states, rho.dim_a, rho.dim_b)[1 if kind == "J" else 2].tolist()
     lhs = 0.0
-    for out in local_branches(work, rho, "A"):
-        p = float(np.real(np.trace(out)))
-        if p <= NEGLIGIBLE_P:
-            continue
-        lhs += p * measure(BipartiteState._built(out / p, rho.dim_a, rho.dim_b))
+    for weight, value in zip(p[kept].tolist(), after):
+        lhs += weight * value
     return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + MONOTONE_SLACK}
 
 
@@ -332,8 +363,8 @@ def j_increase_witness(channel: KrausChannel, basis: Basis | None = None):
         projector(ket(i, d)) + projector(ket(j, d)), projector(ket(1, 2))
     )
     state = BipartiteState(mat, d, 2)
-    j_before = classical_correlations(state)
-    j_after = classical_correlations(local_apply(work, state, "A"))
+    after = local_apply(work, state, "A")
+    j_before, j_after = _discord_stack(np.stack([state.state, after.state]), d, 2)[1].tolist()
     if basis is not None:
         state = basis.from_coords_a(state)
     return state, phi, j_before, j_after
@@ -848,7 +879,7 @@ def recoverability(
     every candidate, and returned in the caller's coordinates.
     """
     work = rho if basis is None else basis.to_coords_a(rho)
-    dephased = _dephase_a(work)
+    dephased = BipartiteState._built(_dephase_a(work.state, *work.dims), *work.dims)
     problem = _RecoveryProblem(metric, work, dephased.state)
 
     def value_of(candidate: KrausChannel) -> float:

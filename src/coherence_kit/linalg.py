@@ -126,11 +126,23 @@ def projector(vec: np.ndarray) -> np.ndarray:
 
 
 def assert_hermitian(m: np.ndarray, tol: float = SPECTRAL_TOL) -> None:
-    if not np.isfinite(m).all():
-        raise NotHermitianError("matrix has a non-finite entry")
-    dev = np.max(np.abs(m - dagger(m)))
+    """Raise NotHermitianError unless the matrix, or each matrix of a stack
+    (..., n, n), is finite with max |M - M^dag| <= tol; on a stack the
+    message names the index of the first offending matrix."""
+    finite = np.isfinite(m)
+    if not finite.all():
+        raise NotHermitianError(f"matrix{_first_in_stack(~finite)} has a non-finite entry")
+    gap = np.abs(m - dagger(m))
+    dev = np.max(gap)
     if dev > tol:
-        raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} > {tol:.1e}")
+        raise NotHermitianError(f"matrix{_first_in_stack(gap > tol)}: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
+
+
+def _first_in_stack(bad: np.ndarray) -> str:
+    """" at stack index k" for the first matrix of a stack with a True entry
+    in ``bad``; "" for one matrix."""
+    k = tuple(np.argwhere(bad)[0, :-2].tolist())
+    return f" at stack index {k[0] if len(k) == 1 else k}" if k else ""
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
@@ -166,20 +178,21 @@ def is_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
 
 
 def partial_trace(mat: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Trace out one side of a bipartite operator.
+    """Trace out one side of a bipartite operator, or of each operator of a
+    stack (..., n, n).
 
     ``keep`` selects the surviving subsystem: "A" traces out B and
     vice versa.  ``dims = (d_a, d_b)`` must factor the matrix dimension.
     """
     mat = np.asarray(mat, dtype=complex)
     da, db = dims
-    if mat.shape != (da * db, da * db):
+    if mat.shape[-2:] != (da * db, da * db):
         raise DimensionError(f"dims {dims} do not factor shape {mat.shape}")
-    t = mat.reshape(da, db, da, db)
+    t = mat.reshape(*mat.shape[:-2], da, db, da, db)
     if keep == "A":
-        return np.einsum("ajbj->ab", t)
+        return np.einsum("...ajbj->...ab", t)
     if keep == "B":
-        return np.einsum("jajb->ab", t)
+        return np.einsum("...jajb->...ab", t)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -197,7 +210,8 @@ def eig_hermitian(m: np.ndarray, tol: float = SPECTRAL_TOL) -> tuple[np.ndarray,
 
 
 def eigvals_hermitian(m: np.ndarray, tol: float = SPECTRAL_TOL) -> np.ndarray:
-    """Eigenvalues only, in ascending order (LAPACK ``eigvalsh``).
+    """Eigenvalues only, in ascending order (LAPACK ``eigvalsh``), of a
+    matrix or of each matrix of a stack (..., n, n).
 
     Same Hermiticity check and symmetrisation as eig_hermitian.
     """
@@ -234,6 +248,20 @@ def spectrum_entropy(lam: np.ndarray) -> float:
     the von Neumann entropy of any matrix with that spectrum."""
     lam = lam[lam > SUPPORT_CUTOFF]
     return float(-np.sum(lam * np.log2(lam)))
+
+
+def spectrum_entropies(lam: np.ndarray) -> np.ndarray:
+    """``spectrum_entropy`` of each row of a stack (s, n) of ascending
+    spectra, bit for bit: a row sum with 0 in place of each kernel term.
+    The kernel is a prefix of the row, so for n < 8, where numpy's pairwise
+    sum adds in order, the zeros change no partial sum.  From n = 8 on it
+    adds in eight interleaved partial sums, which the zeros would regroup,
+    so there a stack with any kernel goes row by row."""
+    keep = lam > SUPPORT_CUTOFF
+    if lam.shape[-1] >= 8 and not keep.all():
+        return np.array([spectrum_entropy(row) for row in lam])
+    x = np.where(keep, lam, 1.0)
+    return -np.sum(x * np.log2(x), axis=-1)
 
 
 def entropy(rho: np.ndarray) -> float:
@@ -319,21 +347,17 @@ def distance(metric: str, rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def dephase_subsystem(mat: np.ndarray, dims: tuple[int, ...], which: int) -> np.ndarray:
-    """Zero every element whose bra/ket indices differ on subsystem ``which``.
+    """Zero every element whose bra/ket indices differ on subsystem ``which``,
+    in a matrix or in each matrix of a stack (..., n, n).
 
     The dephasing basis is the computational basis of that tensor factor.
     """
     mat = np.asarray(mat, dtype=complex)
     total = int(np.prod(dims))
-    if mat.shape != (total, total):
+    if mat.shape[-2:] != (total, total):
         raise DimensionError(f"dims {dims} do not factor shape {mat.shape}")
-    t = mat.reshape(*dims, *dims).copy()
     n = len(dims)
-    idx = np.arange(dims[which])
-    mask = np.zeros((dims[which], dims[which]), dtype=bool)
-    mask[idx, idx] = True
     shape = [1] * (2 * n)
-    shape[which] = dims[which]
-    shape[n + which] = dims[which]
-    t *= mask.reshape(shape)
-    return t.reshape(total, total)
+    shape[which] = shape[n + which] = dims[which]
+    mask = np.eye(dims[which], dtype=bool).reshape(shape)
+    return (mat.reshape(*mat.shape[:-2], *dims, *dims) * mask).reshape(mat.shape)

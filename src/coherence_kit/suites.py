@@ -41,6 +41,11 @@ def _hash_inputs(*parts) -> str:
     return h.hexdigest()[:12]
 
 
+def _record(t: int, inputs: str, lhs: float, rhs: float, ok: bool) -> dict:
+    """One trial of a suite, in the key order of the suite JSON."""
+    return {"trial": t, "inputs": inputs, "lhs": lhs, "rhs": rhs, "pass": ok}
+
+
 def _cprime(rho: np.ndarray, metric: str) -> float:
     return distance(metric, rho, dephase(rho))
 
@@ -56,13 +61,7 @@ def suite_cprime_monotone(trials: int, seed: int):
         worst = -np.inf
         for metric in METRICS:
             worst = max(worst, _cprime(out, metric) - _cprime(rho, metric))
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t, d),
-            "lhs": float(worst),
-            "rhs": 0.0,
-            "pass": worst <= 1e-9,
-        }
+        yield _record(t, _hash_inputs(seed, t, d), float(worst), 0.0, worst <= 1e-9)
 
 
 def _ensemble_suite(kind: str, trials: int, seed: int):
@@ -73,13 +72,7 @@ def _ensemble_suite(kind: str, trials: int, seed: int):
         rho = BipartiteState(random_density_matrix(da * db, rng), da, db)
         e = random_si_channel(da, int(rng.integers(1, 4)), seed=seed, index=t)
         res = ensemble_monotonicity_trial(kind, rho, e)
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t, da, db),
-            "lhs": res["lhs"],
-            "rhs": res["rhs"],
-            "pass": res["pass"],
-        }
+        yield _record(t, _hash_inputs(seed, t, da, db), res["lhs"], res["rhs"], res["pass"])
 
 
 def suite_j_ensemble(trials: int, seed: int):
@@ -102,13 +95,7 @@ def suite_gi_deterministic(trials: int, seed: int):
         g = random_gi_channel(da, int(rng.integers(1, 4)), seed=seed, index=t)
         before = basis_discord(rho).basis_discord
         after = basis_discord(local_apply(g, rho, "A")).basis_discord
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t, da, db),
-            "lhs": after,
-            "rhs": before,
-            "pass": after <= before + 1e-8,
-        }
+        yield _record(t, _hash_inputs(seed, t, da, db), after, before, after <= before + 1e-8)
 
 
 def suite_recover_memory(trials: int, seed: int):
@@ -118,13 +105,7 @@ def suite_recover_memory(trials: int, seed: int):
         rho = BipartiteState(random_density_matrix(4, rng), 2, 2)
         e = random_si_channel(2, int(rng.integers(1, 4)), seed=seed, index=t)
         res = memory_monotonicity_trial(rho, e, budget=1, seed=seed + t)
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t),
-            "lhs": res["after"],
-            "rhs": res["before"],
-            "pass": res["pass"],
-        }
+        yield _record(t, _hash_inputs(seed, t), res["after"], res["before"], res["pass"])
 
 
 def suite_contractivity(trials: int, seed: int):
@@ -143,13 +124,7 @@ def suite_contractivity(trials: int, seed: int):
             before = distance(metric, rho, sig)
             after = distance(metric, apply(e, rho), apply(e, sig))
             worst = max(worst, after - before)
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t, d),
-            "lhs": float(worst),
-            "rhs": 0.0,
-            "pass": worst <= 1e-9,
-        }
+        yield _record(t, _hash_inputs(seed, t, d), float(worst), 0.0, worst <= 1e-9)
 
 
 def suite_dilation_roundtrip(trials: int, seed: int):
@@ -161,13 +136,7 @@ def suite_dilation_roundtrip(trials: int, seed: int):
         e = random_si_channel(d, n, seed=seed, index=t)
         spec = dilation_construct(e)
         worst = dilation_verify(spec, e, n_states=5, seed=seed + t)
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t, d, n),
-            "lhs": worst,
-            "rhs": 0.0,
-            "pass": worst <= 1e-10,
-        }
+        yield _record(t, _hash_inputs(seed, t, d, n), worst, 0.0, worst <= 1e-10)
 
 
 def suite_si_commutes(trials: int, seed: int):
@@ -183,13 +152,7 @@ def suite_si_commutes(trials: int, seed: int):
             e = random_incoherent_not_si_channel(d, seed=seed, index=t)
             dev = dephasing_commutant_deviation(e)
             ok = dev > 1e-4
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t, d),
-            "lhs": dev,
-            "rhs": 0.0,
-            "pass": ok,
-        }
+        yield _record(t, _hash_inputs(seed, t, d), dev, 0.0, ok)
 
 
 def suite_hierarchy(trials: int, seed: int):
@@ -210,13 +173,7 @@ def suite_hierarchy(trials: int, seed: int):
         rep = classify_channel(e)
         got = (rep.incoherent, rep.strictly_incoherent, rep.genuinely_incoherent)
         ok = got[0] == want[0] and got[1] == want[1] and (want[2] is None or got[2] == want[2])
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t, d, pick),
-            "lhs": float(sum(got)),
-            "rhs": float(sum(w for w in want if w)),
-            "pass": ok,
-        }
+        yield _record(t, _hash_inputs(seed, t, d, pick), float(sum(got)), float(sum(w for w in want if w)), ok)
 
 
 def suite_j_witness(trials: int, seed: int):
@@ -227,13 +184,7 @@ def suite_j_witness(trials: int, seed: int):
         e = random_incoherent_not_si_channel(d, seed=seed, index=t)
         _, _, j_before, j_after = j_increase_witness(e)
         ok = j_before <= 1e-10 and j_after > 1e-4
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t, d),
-            "lhs": j_before,
-            "rhs": j_after,
-            "pass": ok,
-        }
+        yield _record(t, _hash_inputs(seed, t, d), j_before, j_after, ok)
 
 
 def suite_depolarizing_zoo(trials: int, seed: int):
@@ -247,13 +198,7 @@ def suite_depolarizing_zoo(trials: int, seed: int):
         p = is_depolarizing(e)
         violating = every_basis_falsifier(e, n_bases=200, seed=seed)
         agree = (p is not None) == (violating is None)
-        yield {
-            "trial": t,
-            "inputs": name,
-            "lhs": float(p is not None),
-            "rhs": float(violating is None),
-            "pass": agree,
-        }
+        yield _record(t, name, float(p is not None), float(violating is None), agree)
 
 
 def suite_result2_equivalence(trials: int, seed: int):
@@ -274,13 +219,9 @@ def suite_result2_equivalence(trials: int, seed: int):
         petz_dist = trace_distance(recovered.state, rho.state)
         decomp = zero_discord_decompose(rho)
         flags = (delta < 1e-8, petz_dist < 1e-7, decomp.success)
-        yield {
-            "trial": t,
-            "inputs": _hash_inputs(seed, t, da, db),
-            "lhs": float(sum(flags)),
-            "rhs": 3.0 if flags[0] else 0.0,
-            "pass": len(set(flags)) == 1,
-        }
+        yield _record(
+            t, _hash_inputs(seed, t, da, db), float(sum(flags)), 3.0 if flags[0] else 0.0, len(set(flags)) == 1
+        )
 
 
 SUITES = {

@@ -219,8 +219,10 @@ def test_cli_invariant_violation_exits_3(violation, tmp_path, monkeypatch, capsy
     from coherence_kit import cli, coherence, discord
 
     if violation == "discord identity":
-        real = discord.rel_ent_coherence
-        monkeypatch.setattr(discord, "rel_ent_coherence", lambda rho, basis=None: real(rho, basis) + 0.5)
+        # Dephase A in rotated coordinates: the discord identity must catch it.
+        real = discord._dephase_a
+        u = np.kron(random_unitary(3, stream(197, 0)), np.eye(2))
+        monkeypatch.setattr(discord, "_dephase_a", lambda s, da, db: u @ real(u.conj().T @ s @ u, da, db) @ u.conj().T)
         argv = ["measure", "discord", write_json(tmp_path, "s.json", state_to_json(zero_discord_example()))]
     else:
         real = coherence.classify_kraus

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -46,12 +47,14 @@ from coherence_kit.linalg import (
     InvariantError,
     dagger,
     dephase_subsystem,
+    diagonal_entropy,
     distance,
     entropy,
     ket,
     matrix_function,
     projector,
     relative_entropy,
+    spectrum_entropy,
     tensor_product,
     trace_distance,
 )
@@ -901,6 +904,57 @@ def test_basis_discord_equals_plain_entropy_compositions(rotated):
             assert rel_ent_coherence(r) == entropy(dephase(r)) - entropy(r)
 
 
+def _per_state_basis_discord(rho):
+    """The per-state report that ``_discord_stack`` replaced, kept as an
+    oracle: one call per state, C(A) by ``rel_ent_coherence``."""
+    dephased = BipartiteState(dephase_subsystem(rho.state, rho.dims, 0), *rho.dims)
+    marginal_a = rho.marginal("A")
+    s_ab, s_dephased = spectrum_entropy(rho.spectrum), spectrum_entropy(dephased.spectrum)
+    i = entropy(marginal_a) + entropy(rho.marginal("B")) - s_ab
+    j = diagonal_entropy(dephased.marginal("A")) + entropy(dephased.marginal("B")) - s_dephased
+    return i, j, i - j, rel_ent_coherence(marginal_a), s_dephased - s_ab
+
+
+def _per_branch_trial(kind, rho, channel):
+    """The per-branch ensemble trial loop, kept as an oracle: (lhs, rhs)."""
+    def measure(state):
+        return _per_state_basis_discord(state)[1 if kind == "J" else 2]
+
+    lhs = 0.0
+    for out in local_branches(channel, rho, "A"):
+        p = float(np.real(np.trace(out)))
+        if p > 1e-12:
+            lhs += p * measure(BipartiteState(out / p, rho.dim_a, rho.dim_b))
+    return lhs, measure(rho)
+
+
+def _oracle_panel():
+    """Seeded states of every shape from 2x2 to 3x3: random, planted zero
+    discord, and of every rank (a 3x3 state of rank 4-8 takes the row-by-row
+    path of ``spectrum_entropies``)."""
+    for t in range(48):
+        rng = stream(211, t)
+        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        n = da * db
+        yield BipartiteState(random_density_matrix(n, rng), da, db)
+        yield random_zero_discord_state(da, db, seed=211, index=t)
+        yield BipartiteState(random_density_matrix(n, rng, rank=int(rng.integers(1, n))), da, db)
+
+
+def test_stacked_discord_is_bit_identical_to_the_per_state_oracle():
+    shapes = set()
+    for t, rho in enumerate(_oracle_panel()):
+        shapes.add(rho.dims)
+        rep = basis_discord(rho)
+        assert dataclasses.astuple(rep) == _per_state_basis_discord(rho)
+        for n_kraus in (1, 2, 3):
+            e = random_si_channel(rho.dim_a, n_kraus, seed=211, index=t)
+            for kind in ("J", "delta"):
+                res = ensemble_monotonicity_trial(kind, rho, e)
+                assert (res["lhs"], res["rhs"]) == _per_branch_trial(kind, rho, e)
+    assert shapes == {(2, 2), (2, 3), (3, 2), (3, 3)}
+
+
 @pytest.mark.parametrize("wrong", ["side B", "rotated A basis"])
 def test_discord_identity_catches_a_wrong_dephasing(wrong, monkeypatch):
     # The identity delta = C(B|A) - C(A) compares the dephased state's
@@ -909,16 +963,42 @@ def test_discord_identity_catches_a_wrong_dephasing(wrong, monkeypatch):
     rho = BipartiteState(random_density_matrix(6, stream(197, 0)), 2, 3)
     real = discord._dephase_a
     if wrong == "side B":
-        def bad(r):
-            return BipartiteState(dephase_subsystem(r.state, r.dims, 1), *r.dims)
+        def bad(states, da, db):
+            return dephase_subsystem(states, (da, db), 1)
     else:
-        basis = Basis(random_unitary(2, stream(197, 1)))
-        def bad(r):
-            return basis.from_coords_a(real(basis.to_coords_a(r)))
+        u = tensor_product(random_unitary(2, stream(197, 1)), np.eye(3))
+        def bad(states, da, db):
+            return u @ real(dagger(u) @ states @ u, da, db) @ dagger(u)
     basis_discord(rho)
     monkeypatch.setattr(discord, "_dephase_a", bad)
-    with pytest.raises(InvariantError, match="discord identity"):
+    with pytest.raises(InvariantError, match="discord identity violated at state 0"):
         basis_discord(rho)
+
+
+def test_discord_invariant_errors_name_the_branch(monkeypatch):
+    # The ensemble trial solves [input, branch 1, branch 2] as one stack; a
+    # wrong dephasing of branch 2 alone must be reported as state 2, and a
+    # negative discord forced on branch 1 alone as state 1.
+    rho = BipartiteState(random_density_matrix(6, stream(199, 0)), 2, 3)
+    e = random_si_channel(2, 2, seed=199)
+    real = discord._dephase_a
+
+    def wrong_side_on(k):
+        def bad(states, da, db):
+            out = real(states, da, db)
+            out[k] = dephase_subsystem(states[k], (da, db), 1)
+            return out
+        return bad
+
+    ensemble_monotonicity_trial("delta", rho, e)
+    monkeypatch.setattr(discord, "_dephase_a", wrong_side_on(2))
+    with pytest.raises(InvariantError, match="discord identity violated at state 2"):
+        ensemble_monotonicity_trial("delta", rho, e)
+    # The example and its branches are classical on B, so dephasing B leaves
+    # them as they are: the identity still holds, and delta = -C(A) < 0.
+    monkeypatch.setattr(discord, "_dephase_a", wrong_side_on(1))
+    with pytest.raises(InvariantError, match="negative discord .* at state 1"):
+        ensemble_monotonicity_trial("J", zero_discord_example(), random_si_channel(3, 2, seed=199))
 
 
 def test_basis_argument_rotates_everything_consistently():

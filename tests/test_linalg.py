@@ -92,6 +92,27 @@ def test_eig_descending_and_unitary_vectors():
             eigvals_hermitian(bad)
 
 
+def test_stacked_eigvals_match_each_matrix_and_name_the_bad_one():
+    rng = stream(5, 3)
+    for n in (2, 4, 6, 9, 16):
+        stack = np.array([random_hermitian(n, rng) for _ in range(4)])
+        lam = eigvals_hermitian(stack)
+        for k, m in enumerate(stack):
+            np.testing.assert_array_equal(lam[k], eigvals_hermitian(m))
+    stack = np.array([np.eye(3, dtype=complex)] * 4)
+    stack[2, 1, 1] = np.nan
+    with pytest.raises(NotHermitianError, match="matrix at stack index 2 has a non-finite entry"):
+        eigvals_hermitian(stack)
+    stack[2, 1, 1] = 1.0
+    stack[1, 0, 2] = 1e-3
+    with pytest.raises(NotHermitianError, match="matrix at stack index 1: max"):
+        eigvals_hermitian(stack)
+    with pytest.raises(NotHermitianError, match=r"at stack index \(1, 1\)"):
+        eigvals_hermitian(stack.reshape(2, 2, 3, 3)[::-1])
+    with pytest.raises(NotHermitianError, match="^matrix: max"):
+        eigvals_hermitian(stack[1])
+
+
 def test_eigvals_identity_and_pauli_x():
     np.testing.assert_allclose(eigvals_hermitian(np.eye(3)), np.ones(3))
     x = np.array([[0, 1], [1, 0]], dtype=complex)
