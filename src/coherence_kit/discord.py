@@ -41,12 +41,12 @@ from .linalg import (
     check_tolerance,
     dagger,
     dephase_subsystem,
-    distance,
     eigvals_hermitian,
     ket,
     matrix_function,
     partial_trace,
     projector,
+    root_fidelity,
     spectrum_entropies,
     spectrum_entropy,
     tensor_product,
@@ -441,13 +441,16 @@ class _RecoveryProblem:
             v = v[:, keep]
             self.root = (v * np.sqrt(lam[keep])) @ dagger(v)
             self.support = v @ dagger(v)
+            self.sqrt_rho = matrix_function(self.rho, "sqrt")  # fidelity's: unlike root, keeps lam <= SUPPORT_CUTOFF
         elif metric == "rel_ent":
             self.neg_entropy = -spectrum_entropy(state.spectrum)
 
     def distance_to(self, x: np.ndarray) -> float:
-        """``distance(metric, rho, x)``; under rel_ent, -S(rho) is ``neg_entropy``."""
-        if self.metric != "rel_ent":
-            return distance(self.metric, self.rho, x)
+        """``distance(metric, rho, x)``, with sqrt(rho) or -S(rho) computed once."""
+        if self.metric == "trace":
+            return trace_distance(self.rho, x)
+        if self.metric == "one_minus_fidelity":
+            return 1.0 - min(1.0, root_fidelity(self.sqrt_rho, x))
         return self.neg_entropy + _cross_entropy(self.rho, x)
 
     def link(self, omega: np.ndarray) -> np.ndarray:
@@ -609,37 +612,58 @@ def _log_second_differences(lam: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return out.reshape((len(lam),) * 3)
 
 
+def _constraint_matrix(problem: _RecoveryProblem, m: int, k: int) -> tuple[np.ndarray, tuple]:
+    """A of ``_interior_point`` (m groups of k indices, n = k d_B) as one
+    complex matrix, a row per entry of the cone stack, whose omega_i blocks
+    lie d_B to a block down the diagonal, and a column per entry of y:
+    column l of group g is (E_l, -E_l, L^*(E_l)_i / 2 on omega_i) on g and
+    column t_i is I_k on omega_i in every group; the padding rows are 0.
+    Also the indices (..., block, row, column) of the omega_i blocks."""
+    da, db = problem.da, problem.db
+    n, nn, slot = k * db, (k * db) ** 2, np.arange(da)
+    at = (slot % db)[:, None] * k + np.arange(k)
+    where = (..., 2 + slot[:, None, None] // db, at[:, :, None], at[:, None, :])
+    units = _hermitian_basis(n)[4].T.reshape(nn, n, n)
+    a_t = np.zeros((m * nn + da, m, 2 - (-da // db), n, n), dtype=complex)
+    for g in range(m):
+        group = a_t[g * nn : (g + 1) * nn, g]
+        group[:, 0], group[:, 1] = units, -units
+        group[where] = 0.5 * problem.adjoint(units)
+    a_t[m * nn :].swapaxes(0, 1)[(slice(None), slot[:, None, None]) + where[1:]] = np.eye(k)
+    return a_t.reshape(m * nn + da, -1).T, where
+
+
 def _interior_point(problem: _RecoveryProblem, best: _Incumbent, maxiter: int) -> int:
     """The trace metric by a primal-dual interior-point method; returns the
     number of Newton steps.
 
     The dual SDP maximises tr(Z rho)/2 + sum_i t_i subject to I - Z >= 0,
     I + Z >= 0 and -L^*(Z)_i/2 - t_i I >= 0.  It is solved over the groups
-    of A that ``_a_groups`` finds in the exact zero pattern of rho; a
-    classical register on A, such as the memory of an outcome-recording
-    channel, gives one group per outcome.  Pinching A onto the groups is a
-    recovery and leaves rho fixed, so by data processing some optimal
-    omega_i is block-diagonal over the groups, and then so are rho -
-    L(omega) and Z.  Pinching a dual Z onto the groups keeps tr(Z rho) and
-    ||Z|| <= 1 and lowers no lambda_min(-L^*(Z)_i), so the dual optimum is
-    attained there too.  The SDP over Z = sum_g Z_g and block-diagonal
-    omega_i is thus the whole problem, with the same optimum and bound.
-    Groups of unequal size are merged into one, the unsplit problem.  The
-    variables are y = (the coordinates of each Z_g in ``_hermitian_basis``,
-    t).  The solve starts at Z = 0, t = -1, where the slack S = C - A(y) is
-    I, and each step moves S by -A(dy), so every iterate is dual feasible.
-    The primal multiplier X of the same blocks carries in its last blocks
-    the group blocks of the prepared states omega_i, and the primal
-    objective is ||rho - L(omega)||_1 / 2.  Each step solves the HKM Schur
-    system M dy = r, M_kl = Re tr(A_k X A_l S^{-1}), of size sum_g |Z_g|^2 +
-    d_A, by LU (near the optimum M is too ill-conditioned for Cholesky),
-    once for Mehrotra's predictor and once for the corrector, and goes
-    BOUNDARY_FRACTION of the way to the boundary, from X = S = I.  Once
-    tr(XS) <= CERTIFY_BELOW * RECOVERY_GAP_TOL, at the cap, and where X or S
-    turns singular to working precision (the path ends there), the iterate
-    is scored by ``_Incumbent`` with omega = ``_project_states`` of the
-    omega blocks and the bound at z = Z clipped to [-1, 1], both embedded
-    in the whole of A; the bound is valid for any ||z|| <= 1.
+    of A that ``_a_groups`` finds in the exact zero pattern of rho (a
+    classical register on A, such as an outcome memory, gives one group per
+    value).  Pinching A onto the groups is a recovery that leaves rho
+    fixed, so by data processing some optimal omega_i, and then rho -
+    L(omega) and Z, are block-diagonal over them; pinching a dual Z keeps
+    tr(Z rho) and ||Z|| <= 1 and lowers no lambda_min(-L^*(Z)_i).  So the
+    SDP over Z = sum_g Z_g has the same optimum and bound.  Groups of
+    unequal size are merged into one.  y holds the coordinates of each Z_g
+    in ``_hermitian_basis``, then t.  X and the slack S = C - A(y) are each
+    one stack (m, 2 + ceil(d_A / d_B), n, n): per group g, I - Z_g and I +
+    Z_g, then the k x k g blocks of the omega_i, d_B to a block down its
+    diagonal.  The padding left holds I in X and S and 0 in every
+    direction; block-diagonal matrices keep their zeros through Cholesky,
+    inverse and products, so one of each serves every block, and the gap
+    is tr(XS) less the padding's trace.  A is ``_constraint_matrix``, A^dag
+    its adjoint.  From X = S = I (Z = 0, t = -1) each step moves S by
+    -A(dy), so every iterate is dual feasible.  A step solves the HKM Schur
+    system M_kl = Re tr(A_k X A_l S^{-1}) (sum_g |Z_g|^2 + d_A rows) by LU,
+    as M is too ill-conditioned near the optimum for Cholesky, for
+    Mehrotra's predictor and corrector, and goes BOUNDARY_FRACTION of the
+    way to the boundary.  Once tr(XS) <= CERTIFY_BELOW * RECOVERY_GAP_TOL,
+    at the cap, and where X or S turns singular to working precision (the
+    path ends there), ``_Incumbent`` scores omega = ``_project_states`` of
+    the omega blocks and the bound at z = Z clipped to [-1, 1] (valid for
+    any ||z|| <= 1), both embedded in the whole of A.
     """
     if best.closed:
         return 0
@@ -647,126 +671,98 @@ def _interior_point(problem: _RecoveryProblem, best: _Incumbent, maxiter: int) -
     groups = _a_groups(problem.rho, da, db, 0.0)
     idx = np.array(groups if len({len(g) for g in groups}) == 1 else [list(range(da))])
     m, k = idx.shape
-    n = k * db
-    nn, eye = n * n, np.eye(k)
+    n, nn = k * db, (k * db) ** 2
     rows = (idx[:, :, None] * db + np.arange(db)).reshape(m, n)
-    s = problem.s
-    half_sigma = 0.5 * s.reshape(da, 1, db, 1, db)
     # sigma_i[b, B] sigma_i[d, D] / 4, flattened over (b, B, d, D).
-    sigma_pairs = 0.25 * (s[:, :, None] * s[:, None, :]).reshape(da, -1)
+    sigma_pairs = 0.25 * (problem.s[:, :, None] * problem.s[:, None, :]).reshape(da, -1)
     first, second, a, b, dense = _hermitian_basis(n)
-    a_conj, b_conj = a.conj(), b.conj()
-    n_cone = m * (2 * n + da * k)
-    signs = np.array([1.0, -1.0])[:, None, None]
+    cons, where = _constraint_matrix(problem, m, k)
+    blocks = len(cons) // (m * nn)
+    n_cone, padding = m * (2 * n + da * k), m * k * ((blocks - 2) * db - da)
+    corners = cons.T.reshape(-1, m, blocks, n, n)[where].transpose(2, 1, 3, 4, 0).reshape(da, m * k * k, -1).conj()
+    live = np.zeros((blocks, n, n))
+    live[:2] = live[where] = 1.0
 
-    def coords(v: np.ndarray) -> np.ndarray:
-        """(Re tr(E_l V))_l for each n x n matrix V of a stack."""
-        v = v.reshape(*v.shape[:-2], nn)
-        return np.real(v[..., first] * a_conj + v[..., second] * b_conj)
-
-    def z_of(y: np.ndarray) -> np.ndarray:
-        """The blocks Z_g = sum_l y_l E_l."""
-        return (y[: m * nn].reshape(m, nn) @ dense.T).reshape(m, n, n)
-
-    def apply(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def apply(y: np.ndarray) -> np.ndarray:
         """A(y) = ((Z_g, -Z_g), L^*(Z)_i[g, g] / 2 + t_i I) per group g."""
-        z = z_of(y)
-        return z[:, None] * signs, 0.5 * problem.adjoint(z) + y[m * nn :, None, None] * eye
+        return (cons @ y).reshape(m, blocks, n, n)
 
-    def pair(vz: np.ndarray, vw: np.ndarray) -> np.ndarray:
-        """(Re tr(A_l V))_l, the adjoint of ``apply``."""
-        h = vz[:, 0] - vz[:, 1] + 0.5 * problem.link(vw)
-        return np.concatenate([coords(h).reshape(-1), np.einsum("giaa->i", vw).real])
+    def pair(v: np.ndarray) -> np.ndarray:
+        """(Re tr(A_l V))_l = Re(A^dag vec V), the adjoint of ``apply``."""
+        return np.real(v.reshape(-1).conj() @ cons)
 
-    def schur(xz: np.ndarray, xw: np.ndarray, wz: np.ndarray, ww: np.ndarray) -> np.ndarray:
-        """M_kl = Re tr(A_k X A_l W) with W = S^{-1}: for each Z_g built on
-        its matrix units and turned to ``_hermitian_basis`` by the index
-        pairs, O(n^4); distinct Z_g share no block."""
-        units = np.einsum("gcpr,gcsq->gpqrs", xz, wz).reshape(m, nn, nn)
+    def schur(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """M_kl = Re tr(A_k X A_l W), W = S^{-1}: per Z_g on its matrix units,
+        turned to ``_hermitian_basis`` by index pairs, O(n^4) (distinct Z_g
+        share no block); column t_i pairs X_i W_i with ``corners`` (A^dag)."""
+        xw, ww = x[where], w[where]
+        units = np.einsum("gcpr,gcsq->gpqrs", x[:, :2], w[:, :2]).reshape(m, nn, nn)
         left = np.einsum("giac,giCA->gaAcCi", xw, ww).reshape(m, -1, da)
-        units += (left @ sigma_pairs).reshape((m,) + (k,) * 4 + (db,) * 4).transpose(
-            0, 1, 5, 2, 6, 3, 8, 4, 7
-        ).reshape(m, nn, nn)
+        lstar = (left @ sigma_pairs).reshape((m,) + (k,) * 4 + (db,) * 4)
+        units += lstar.transpose(0, 1, 5, 2, 6, 3, 8, 4, 7).reshape(m, nn, nn)
         col = units[:, :, first] * a + units[:, :, second] * b
-        zz = np.real(a_conj[:, None] * col[:, first] + b_conj[:, None] * col[:, second])
+        zz = np.real(a.conj()[:, None] * col[:, first] + b.conj()[:, None] * col[:, second])
         out = np.zeros((m * nn + da, m * nn + da))
         for g in range(m):
             out[g * nn : (g + 1) * nn, g * nn : (g + 1) * nn] = zz[g]
-        # Row and column of t_i: L(X_i W_i at slot i) / 2 per group, in the
-        # Hermitian basis.
-        scaled = xw @ ww
-        coupling = (scaled[:, :, :, None, :, None] * half_sigma).reshape(m, da, n, n)
-        out[m * nn :, : m * nn] = coords(coupling).transpose(1, 0, 2).reshape(da, -1)
+        out[m * nn :] = np.real((xw @ ww).swapaxes(0, 1).reshape(da, 1, -1) @ corners)[:, 0]
         out[: m * nn, m * nn :] = out[m * nn :, : m * nn].T
-        out[m * nn :, m * nn :] = np.diag(np.einsum("giaa->i", scaled).real)
         return out
 
-    def max_steps(dxz: np.ndarray, dxw: np.ndarray, dsz: np.ndarray, dsw: np.ndarray) -> tuple[float, float]:
-        """BOUNDARY_FRACTION of the largest steps along dx and ds that keep X
-        and S positive, each at most 1: with F the inverse Cholesky factor
-        of P (``fz`` and ``fw`` hold those of X, then of S), P + a D >= 0
-        while a lambda_min(F D F^dag) >= -1."""
-        low_z = np.linalg.eigvalsh(fz @ np.concatenate([dxz, dsz], axis=1) @ fz_adj)[..., 0]
-        low_w = np.linalg.eigvalsh(fw @ np.concatenate([dxw, dsw], axis=1) @ fw_adj)[..., 0]
-        lows = (min(low_z[:, :2].min(), low_w[:, :da].min()), min(low_z[:, 2:].min(), low_w[:, da:].min()))
-        return tuple(1.0 if low >= 0.0 else min(1.0, -BOUNDARY_FRACTION / float(low)) for low in lows)
+    def max_steps(dx: np.ndarray, ds: np.ndarray) -> tuple[float, float]:
+        """BOUNDARY_FRACTION of the largest steps (at most 1) along dx and ds
+        that keep X and S positive: with F the inverse Cholesky factor of P
+        (``f``), P + a D >= 0 while a lambda_min(F D F^dag) >= -1."""
+        low = np.linalg.eigvalsh(f @ np.stack([dx, ds]) @ f_adj)[..., 0].reshape(2, -1).min(axis=1)
+        return tuple(1.0 if v >= 0.0 else min(1.0, -BOUNDARY_FRACTION / float(v)) for v in low)
 
-    def inner(pz: np.ndarray, pw: np.ndarray, qz: np.ndarray, qw: np.ndarray) -> float:
-        return float(np.real(np.vdot(pz, qz) + np.vdot(pw, qw)))
+    def inner(p: np.ndarray, q: np.ndarray) -> float:
+        return float(np.real(np.vdot(p, q))) - padding
 
     def sym(v: np.ndarray) -> np.ndarray:
-        return 0.5 * (v + dagger(v))
+        return 0.5 * (v + dagger(v)) * live
 
     def score() -> None:
-        blocks = np.zeros((da, da, da), dtype=complex)
-        blocks[:, idx[:, :, None], idx[:, None, :]] = xw.transpose(1, 0, 2, 3)
-        omega = _project_states(blocks)
+        omega = np.zeros((da, da, da), dtype=complex)
+        omega[:, idx[:, :, None], idx[:, None, :]] = x[where].transpose(1, 0, 2, 3)
+        omega = _project_states(omega)
         z = np.zeros((da * db, da * db), dtype=complex)
-        z[rows[:, :, None], rows[:, None, :]] = _spectral_map(z_of(y), lambda lam: np.clip(lam, -1.0, 1.0))
+        z[rows[:, :, None], rows[:, None, :]] = _spectral_map(apply(y)[:, 0], lambda lam: np.clip(lam, -1.0, 1.0))
         states = problem.link(omega)
         c, g = problem.minorant(states, z)
         best.score(omega, states, c, problem.adjoint(g))
 
-    target = np.concatenate([0.5 * coords(problem.rho[rows[:, :, None], rows[:, None, :]]).reshape(-1), np.ones(da)])
-    # X and S per group g: the (I - Z_g, I + Z_g) blocks, then the g blocks
-    # of the d_A prepared states.
+    rho_blocks = problem.rho[rows[:, :, None], rows[:, None, :]].reshape(m, nn)
+    target = np.concatenate([0.5 * np.real(rho_blocks @ dense.conj()).reshape(-1), np.ones(da)])
     y = np.concatenate([np.zeros(m * nn), -np.ones(da)])
-    xz = np.tile(np.eye(n, dtype=complex), (m, 2, 1, 1))
-    xw = np.tile(np.eye(k, dtype=complex), (m, da, 1, 1))
-    sz, sw = xz.copy(), xw.copy()
-    gap, iterations = inner(xz, xw, sz, sw), 0
+    x = s = np.tile(np.eye(n, dtype=complex), (m, blocks, 1, 1))
+    gap, iterations = inner(x, s), 0
     while not best.closed and iterations < maxiter:
         try:
-            # Inverse Cholesky factors of the X blocks, then of the S blocks.
-            fz = np.linalg.inv(np.linalg.cholesky(np.concatenate([xz, sz], axis=1)))
-            fw = np.linalg.inv(np.linalg.cholesky(np.concatenate([xw, sw], axis=1)))
+            # Inverse Cholesky factors of X, then of S.
+            f = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
         except np.linalg.LinAlgError:
             # X or S is singular to working precision: the path ends here.
             score()
             break
         iterations += 1
-        fz_adj, fw_adj = dagger(fz), dagger(fw)
-        wz, ww = fz_adj[:, 2:] @ fz[:, 2:], fw_adj[:, da:] @ fw[:, da:]
-        mu = gap / n_cone
-        lhs = schur(xz, xw, wz, ww)
+        f_adj, mu = dagger(f), gap / n_cone
+        w = f_adj[1] @ f[1]
+        lhs = schur(x, w)
         # Predictor: the affine-scaling direction, towards mu = 0.
         dy = np.linalg.solve(lhs, target)
-        dsz, dsw = apply(-dy)
-        dxz, dxw = sym(-xz - xz @ dsz @ wz), sym(-xw - xw @ dsw @ ww)
-        ap, ad = max_steps(dxz, dxw, dsz, dsw)
-        mu_aff = inner(xz + ap * dxz, xw + ap * dxw, sz + ad * dsz, sw + ad * dsw) / n_cone
-        centre = (mu_aff / mu) ** 3 * mu
+        ds = apply(-dy)
+        dx = sym(-x - x @ ds @ w)
+        ap, ad = max_steps(dx, ds)
+        centre = (inner(x + ap * dx, s + ad * ds) / n_cone / mu) ** 3 * mu
         # Corrector: towards centre * I, with the predictor's second-order term.
-        hz, hw = dxz @ dsz @ wz, dxw @ dsw @ ww
-        dy = np.linalg.solve(lhs, target + pair(hz - centre * wz, hw - centre * ww))
-        dsz, dsw = apply(-dy)
-        dxz = sym(centre * wz - xz - xz @ dsz @ wz - hz)
-        dxw = sym(centre * ww - xw - xw @ dsw @ ww - hw)
-        ap, ad = max_steps(dxz, dxw, dsz, dsw)
-        xz, xw = xz + ap * dxz, xw + ap * dxw
-        y = y + ad * dy
-        sz, sw = sz + ad * dsz, sw + ad * dsw
-        gap = inner(xz, xw, sz, sw)
+        h = dx @ ds @ w
+        dy = np.linalg.solve(lhs, target + pair(h - centre * w))
+        ds = apply(-dy)
+        dx = sym(centre * w - x - x @ ds @ w - h)
+        ap, ad = max_steps(dx, ds)
+        x, y, s = x + ap * dx, y + ad * dy, s + ad * ds
+        gap = inner(x, s)
         if gap <= CERTIFY_BELOW * RECOVERY_GAP_TOL or iterations == maxiter:
             score()
     return iterations

@@ -317,7 +317,11 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho))."""
     if np.asarray(rho).shape != np.asarray(sigma).shape:
         raise DimensionError("fidelity needs equal dimensions")
-    root = matrix_function(rho, "sqrt")
+    return root_fidelity(matrix_function(rho, "sqrt"), sigma)
+
+
+def root_fidelity(root: np.ndarray, sigma: np.ndarray) -> float:
+    """``fidelity`` given root = ``matrix_function(rho, "sqrt")``."""
     inner = root @ np.asarray(sigma, dtype=complex) @ root
     lam = eigvals_hermitian((inner + dagger(inner)) / 2.0)
     return float(np.sum(np.sqrt(lam[above_noise_floor(lam)])))

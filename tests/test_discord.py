@@ -537,6 +537,216 @@ def test_trace_solve_ends_cleanly_where_the_gap_cannot_close(monkeypatch):
         _assert_certified(res, rho, "trace")
 
 
+def _two_stack_interior_point(problem, best, maxiter):
+    """The former trace-metric step as an oracle: X, S and every direction
+    kept as two twin stacks, the (I - Z_g, I + Z_g) blocks (``xz``, ``sz``)
+    and the k x k omega blocks (``xw``, ``sw``), with the constraint map
+    applied blockwise.  Same variables, start and step rule as
+    ``discord._interior_point``; returns the number of Newton steps."""
+    if best.closed:
+        return 0
+    da, db = problem.da, problem.db
+    groups = discord._a_groups(problem.rho, da, db, 0.0)
+    idx = np.array(groups if len({len(g) for g in groups}) == 1 else [list(range(da))])
+    m, k = idx.shape
+    n = k * db
+    nn, eye = n * n, np.eye(k)
+    rows = (idx[:, :, None] * db + np.arange(db)).reshape(m, n)
+    s = problem.s
+    half_sigma = 0.5 * s.reshape(da, 1, db, 1, db)
+    # sigma_i[b, B] sigma_i[d, D] / 4, flattened over (b, B, d, D).
+    sigma_pairs = 0.25 * (s[:, :, None] * s[:, None, :]).reshape(da, -1)
+    first, second, a, b, dense = discord._hermitian_basis(n)
+    a_conj, b_conj = a.conj(), b.conj()
+    n_cone = m * (2 * n + da * k)
+    signs = np.array([1.0, -1.0])[:, None, None]
+
+    def coords(v: np.ndarray) -> np.ndarray:
+        """(Re tr(E_l V))_l for each n x n matrix V of a stack."""
+        v = v.reshape(*v.shape[:-2], nn)
+        return np.real(v[..., first] * a_conj + v[..., second] * b_conj)
+
+    def z_of(y: np.ndarray) -> np.ndarray:
+        """The blocks Z_g = sum_l y_l E_l."""
+        return (y[: m * nn].reshape(m, nn) @ dense.T).reshape(m, n, n)
+
+    def apply(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A(y) = ((Z_g, -Z_g), L^*(Z)_i[g, g] / 2 + t_i I) per group g."""
+        z = z_of(y)
+        return z[:, None] * signs, 0.5 * problem.adjoint(z) + y[m * nn :, None, None] * eye
+
+    def pair(vz: np.ndarray, vw: np.ndarray) -> np.ndarray:
+        """(Re tr(A_l V))_l, the adjoint of ``apply``."""
+        h = vz[:, 0] - vz[:, 1] + 0.5 * problem.link(vw)
+        return np.concatenate([coords(h).reshape(-1), np.einsum("giaa->i", vw).real])
+
+    def schur(xz: np.ndarray, xw: np.ndarray, wz: np.ndarray, ww: np.ndarray) -> np.ndarray:
+        """M_kl = Re tr(A_k X A_l W) with W = S^{-1}: for each Z_g built on
+        its matrix units and turned to ``discord._hermitian_basis`` by the index
+        pairs, O(n^4); distinct Z_g share no block."""
+        units = np.einsum("gcpr,gcsq->gpqrs", xz, wz).reshape(m, nn, nn)
+        left = np.einsum("giac,giCA->gaAcCi", xw, ww).reshape(m, -1, da)
+        units += (left @ sigma_pairs).reshape((m,) + (k,) * 4 + (db,) * 4).transpose(
+            0, 1, 5, 2, 6, 3, 8, 4, 7
+        ).reshape(m, nn, nn)
+        col = units[:, :, first] * a + units[:, :, second] * b
+        zz = np.real(a_conj[:, None] * col[:, first] + b_conj[:, None] * col[:, second])
+        out = np.zeros((m * nn + da, m * nn + da))
+        for g in range(m):
+            out[g * nn : (g + 1) * nn, g * nn : (g + 1) * nn] = zz[g]
+        # Row and column of t_i: L(X_i W_i at slot i) / 2 per group, in the
+        # Hermitian basis.
+        scaled = xw @ ww
+        coupling = (scaled[:, :, :, None, :, None] * half_sigma).reshape(m, da, n, n)
+        out[m * nn :, : m * nn] = coords(coupling).transpose(1, 0, 2).reshape(da, -1)
+        out[: m * nn, m * nn :] = out[m * nn :, : m * nn].T
+        out[m * nn :, m * nn :] = np.diag(np.einsum("giaa->i", scaled).real)
+        return out
+
+    def max_steps(dxz: np.ndarray, dxw: np.ndarray, dsz: np.ndarray, dsw: np.ndarray) -> tuple[float, float]:
+        """discord.BOUNDARY_FRACTION of the largest steps along dx and ds that keep X
+        and S positive, each at most 1: with F the inverse Cholesky factor
+        of P (``fz`` and ``fw`` hold those of X, then of S), P + a D >= 0
+        while a lambda_min(F D F^dag) >= -1."""
+        low_z = np.linalg.eigvalsh(fz @ np.concatenate([dxz, dsz], axis=1) @ fz_adj)[..., 0]
+        low_w = np.linalg.eigvalsh(fw @ np.concatenate([dxw, dsw], axis=1) @ fw_adj)[..., 0]
+        lows = (min(low_z[:, :2].min(), low_w[:, :da].min()), min(low_z[:, 2:].min(), low_w[:, da:].min()))
+        return tuple(1.0 if low >= 0.0 else min(1.0, -discord.BOUNDARY_FRACTION / float(low)) for low in lows)
+
+    def inner(pz: np.ndarray, pw: np.ndarray, qz: np.ndarray, qw: np.ndarray) -> float:
+        return float(np.real(np.vdot(pz, qz) + np.vdot(pw, qw)))
+
+    def sym(v: np.ndarray) -> np.ndarray:
+        return 0.5 * (v + dagger(v))
+
+    def score() -> None:
+        blocks = np.zeros((da, da, da), dtype=complex)
+        blocks[:, idx[:, :, None], idx[:, None, :]] = xw.transpose(1, 0, 2, 3)
+        omega = discord._project_states(blocks)
+        z = np.zeros((da * db, da * db), dtype=complex)
+        z[rows[:, :, None], rows[:, None, :]] = discord._spectral_map(z_of(y), lambda lam: np.clip(lam, -1.0, 1.0))
+        states = problem.link(omega)
+        c, g = problem.minorant(states, z)
+        best.score(omega, states, c, problem.adjoint(g))
+
+    target = np.concatenate([0.5 * coords(problem.rho[rows[:, :, None], rows[:, None, :]]).reshape(-1), np.ones(da)])
+    # X and S per group g: the (I - Z_g, I + Z_g) blocks, then the g blocks
+    # of the d_A prepared states.
+    y = np.concatenate([np.zeros(m * nn), -np.ones(da)])
+    xz = np.tile(np.eye(n, dtype=complex), (m, 2, 1, 1))
+    xw = np.tile(np.eye(k, dtype=complex), (m, da, 1, 1))
+    sz, sw = xz.copy(), xw.copy()
+    gap, iterations = inner(xz, xw, sz, sw), 0
+    while not best.closed and iterations < maxiter:
+        try:
+            # Inverse Cholesky factors of the X blocks, then of the S blocks.
+            fz = np.linalg.inv(np.linalg.cholesky(np.concatenate([xz, sz], axis=1)))
+            fw = np.linalg.inv(np.linalg.cholesky(np.concatenate([xw, sw], axis=1)))
+        except np.linalg.LinAlgError:
+            # X or S is singular to working precision: the path ends here.
+            score()
+            break
+        iterations += 1
+        fz_adj, fw_adj = dagger(fz), dagger(fw)
+        wz, ww = fz_adj[:, 2:] @ fz[:, 2:], fw_adj[:, da:] @ fw[:, da:]
+        mu = gap / n_cone
+        lhs = schur(xz, xw, wz, ww)
+        # Predictor: the affine-scaling direction, towards mu = 0.
+        dy = np.linalg.solve(lhs, target)
+        dsz, dsw = apply(-dy)
+        dxz, dxw = sym(-xz - xz @ dsz @ wz), sym(-xw - xw @ dsw @ ww)
+        ap, ad = max_steps(dxz, dxw, dsz, dsw)
+        mu_aff = inner(xz + ap * dxz, xw + ap * dxw, sz + ad * dsz, sw + ad * dsw) / n_cone
+        centre = (mu_aff / mu) ** 3 * mu
+        # Corrector: towards centre * I, with the predictor's second-order term.
+        hz, hw = dxz @ dsz @ wz, dxw @ dsw @ ww
+        dy = np.linalg.solve(lhs, target + pair(hz - centre * wz, hw - centre * ww))
+        dsz, dsw = apply(-dy)
+        dxz = sym(centre * wz - xz - xz @ dsz @ wz - hz)
+        dxw = sym(centre * ww - xw - xw @ dsw @ ww - hw)
+        ap, ad = max_steps(dxz, dxw, dsz, dsw)
+        xz, xw = xz + ap * dxz, xw + ap * dxw
+        y = y + ad * dy
+        sz, sw = sz + ad * dsz, sw + ad * dsw
+        gap = inner(xz, xw, sz, sw)
+        if gap <= discord.CERTIFY_BELOW * discord.RECOVERY_GAP_TOL or iterations == maxiter:
+            score()
+    return iterations
+
+
+def _trace_step_panel():
+    """Seeded 2x2, 3x2 and 2x3 states; the split memory states (d_A = 4 and
+    6); a 3x2 state with unequal groups {0, 1} and {2}, solved unsplit; a
+    4x4 state."""
+    for da, db in ((2, 2), (3, 2), (2, 3)):
+        for t in range(3):
+            yield BipartiteState(random_density_matrix(da * db, stream(239, da, db, t)), da, db)
+    for t in (2, 4, 17, 18):
+        yield _recover_memory_state(t)[0]
+    a = np.repeat(np.arange(3), 2)
+    mat = random_density_matrix(6, stream(239, 0)) * ((a[:, None] == 2) == (a[None, :] == 2))
+    yield BipartiteState(mat / np.trace(mat).real, 3, 2)
+    yield BipartiteState(random_density_matrix(16, stream(239, 4, 4)), 4, 4)
+
+
+def test_stacked_trace_step_matches_the_two_stack_oracle(monkeypatch):
+    states = list(_trace_step_panel())
+    groups = [discord._a_groups(rho.state, rho.dim_a, rho.dim_b, 0.0) for rho in states]
+    assert [len(g) for g in groups[9:13]] == [3, 3, 2, 2] and len(groups[13]) == 2
+    new = [recoverability(rho, budget=1) for rho in states]
+    monkeypatch.setattr(discord, "_interior_point", _two_stack_interior_point)
+    old = [recoverability(rho, budget=1) for rho in states]
+    for rho, a, b in zip(states, new, old):
+        assert a["iterations"] == b["iterations"] > 0, rho.dims
+        assert a["converged"] == b["converged"]
+        assert abs(a["value"] - b["value"]) <= 1e-10
+        assert abs(a["lower_bound"] - b["lower_bound"]) <= 1e-10
+        _assert_certified(a, rho, "trace")
+
+
+def test_constraint_matrix_is_the_blockwise_map_its_adjoint_and_zero_on_the_padding():
+    # The omega_i blocks of group g sit d_B to an n x n block down its
+    # diagonal: slot i at block 2 + i // d_B, rows (i % d_B) k to + k.
+    rng = np.random.default_rng(241)
+    cases = [(BipartiteState(random_density_matrix(4, stream(241, 0)), 2, 2), 1, 2)]
+    cases.append((_recover_memory_state(2)[0], 3, 2))
+    cases.append((BipartiteState(random_density_matrix(6, stream(241, 1)), 2, 3), 1, 2))
+    cases.append((BipartiteState(random_density_matrix(6, stream(241, 2)), 3, 2), 1, 3))
+    for rho, m, k in cases:
+        da, db = rho.dims
+        n, blocks = k * db, 2 + -(-da // db)
+        problem = _RecoveryProblem("trace", rho, dephase_subsystem(rho.state, rho.dims, 0))
+        cons, where = discord._constraint_matrix(problem, m, k)
+        shape = (m, blocks, n, n)
+        assert cons.shape == (m * blocks * n * n, m * n * n + da)
+        live = np.zeros((blocks, n, n), dtype=bool)
+        live[:2] = True
+        corner = []
+        for i in range(da):
+            at = slice((i % db) * k, (i % db + 1) * k)
+            live[2 + i // db, at, at] = True
+            corner.append((2 + i // db, at))
+        assert np.all(cons.reshape(*shape, -1)[:, ~live] == 0.0)
+        dense = discord._hermitian_basis(n)[4]
+        for _ in range(3):
+            y = rng.normal(size=cons.shape[1])
+            # A(y) block by block: (Z_g, -Z_g, L^*(Z_g)_i / 2 + t_i I_k).
+            z = (y[: m * n * n].reshape(m, -1) @ dense.T).reshape(m, n, n)
+            omega = 0.5 * problem.adjoint(z) + y[m * n * n :, None, None] * np.eye(k)
+            want = np.zeros(shape, dtype=complex)
+            want[:, 0], want[:, 1] = z, -z
+            for i, (block, at) in enumerate(corner):
+                want[:, block, at, at] = omega[:, i]
+            got = (cons @ y).reshape(shape)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(got[where], np.stack([got[:, b, at, at] for b, at in corner], axis=1))
+            v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            v = v + dagger(v)
+            lhs = sum(np.trace(a @ b).real for a, b in zip(got.reshape(-1, n, n), v.reshape(-1, n, n)))
+            rhs = y @ np.real(cons.conj().T @ v.reshape(-1))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
 @pytest.mark.parametrize("metric", METRICS)
 def test_zero_discord_states_are_certified_without_steps(metric):
     # Every metric is >= 0, so an exact candidate closes the gap at once.
@@ -797,6 +1007,22 @@ def test_recovery_link_is_local_action_on_prepared_states():
         rhs = np.einsum("iab,iba->", problem.adjoint(g), omega)
         assert abs(lhs - rhs) <= 1e-13
 
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_distance_to_is_bit_identical_to_distance(metric):
+    # The problem takes sqrt(rho) (fidelity) or -S(rho) (relative entropy)
+    # once; every scored iterate still reads exactly what ``distance`` gives.
+    rng = stream(251, 0)
+    for da in (2, 3):
+        states = [random_density_matrix(2 * da, stream(251, da, t)) for t in range(4)]
+        states.append(projector(random_pure_state(2 * da, stream(251, da, 9))))
+        for mat in states:
+            rho = BipartiteState(mat, da, 2)
+            sigma = dephase_subsystem(mat, rho.dims, 0)
+            problem = _RecoveryProblem(metric, rho, sigma)
+            for x in (sigma, problem.link(_prepared_states(_random_kraus(da, rng)))):
+                assert problem.distance_to(x) == distance(metric, mat, x)
 
 def test_project_states_is_the_nearest_stack_of_states():
     rng = stream(173, 0)
